@@ -76,6 +76,7 @@ main(int argc, char **argv)
         circuit::setDtaBackend(backend);
         batchCore.reset(pt); // sequential-from-scratch every run
         std::vector<FpuCore::Exec> res(N);
+        std::vector<FpuOp> opv(lanes, FpuOp::AddD);
         std::vector<uint64_t> av(lanes), bv(lanes);
         for (int i = 0; i < N;) {
             unsigned n =
@@ -84,7 +85,7 @@ main(int argc, char **argv)
                 av[l] = ops[i + l].first;
                 bv[l] = ops[i + l].second;
             }
-            batchCore.executeBatch(pt, FpuOp::AddD, av.data(),
+            batchCore.executeBatch(pt, opv.data(), av.data(),
                                    bv.data(), n, res.data() + i);
             i += n;
         }

@@ -45,7 +45,7 @@ namespace {
 void
 clearGridArtifacts(const ToolflowOptions &opt, const GridSpec &spec)
 {
-    std::filesystem::remove(gridCachePath(opt));
+    std::filesystem::remove(gridCachePath(opt, spec));
     for (const CellPlan &cp : planEvaluationGrid(opt, spec))
         std::filesystem::remove(
             cellManifestPath(opt, cp.workload, cp.model, cp.vrFrac));
@@ -94,7 +94,8 @@ main(int argc, char **argv)
         runEvaluationGrid(tf, spec);
         refSec = t.seconds();
     }
-    std::string refCsv = readFileToString(gridCachePath(opt)).value_or("");
+    std::string refCsv =
+        readFileToString(gridCachePath(opt, spec)).value_or("");
     setQuiet(false);
     if (refCsv.empty()) {
         std::printf("fleet_scaling: reference grid produced no CSV\n");
@@ -118,7 +119,7 @@ main(int argc, char **argv)
         runFleetGrid(opt, f, spec);
         double sec = t.seconds();
         std::string csv =
-            readFileToString(gridCachePath(opt)).value_or("");
+            readFileToString(gridCachePath(opt, spec)).value_or("");
         setQuiet(false);
         bool identical = csv == refCsv;
         passed = passed && identical;

@@ -67,4 +67,16 @@ if ! (cd "$root/build-san" && \
     echo "ci: multi-core determinism gate FAILED"
     exit 1
 fi
-echo "ci: OK (sanitizer + portable-SIMD + IS calibration + multi-core green)"
+# Batched-DTA identity gate, likewise named: WA/DA characterization
+# replays every trace through the batched kernels, so the
+# backend x lanes x threads identity of DESIGN.md §9/§11 runs under the
+# sanitizer build and under the portable SIMD kernels.
+echo "=== ci: batched-DTA identity gate (ctest -L tier1dta) ==="
+if ! (cd "$root/build-san" && \
+      ASAN_OPTIONS="detect_leaks=0" ctest -L tier1dta --output-on-failure) \
+   || ! (cd "$root/build" && \
+         REPRO_SIMD=portable ctest -L tier1dta --output-on-failure); then
+    echo "ci: batched-DTA identity gate FAILED"
+    exit 1
+fi
+echo "ci: OK (sanitizer, portable-SIMD, IS, multi-core, batched-DTA green)"

@@ -291,10 +291,18 @@ LaneDta::rebuildRiskyCone(double captureTimePs)
         }
     }
     riskyMask_.resize(n);
-    for (NetId id = 0; id < n; ++id)
+    size_t risky = 0;
+    for (NetId id = 0; id < n; ++id) {
         riskyMask_[id] =
             staticArr[id] + remaining_[id] > captureTimePs ? ~0ULL : 0;
+        risky += riskyMask_[id] != 0 && cells[id].kind != CellKind::Input;
+    }
     riskyCaptureTimePs_ = captureTimePs;
+    // The toggled set is a subset of the risky cone: size the timing
+    // pass's buffers for it once, so batches of varying toggle counts
+    // never regrow (and fragment) them.
+    toggled_.reserve(risky);
+    laneArrival_.reserve((risky + 1) * 64);
 }
 
 const LaneBatch &

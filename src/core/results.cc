@@ -12,6 +12,7 @@
 #include "obs/obs.hh"
 #include "obs/trace.hh"
 #include "surrogate/importance.hh"
+#include "util/crc32.hh"
 #include "util/fsatomic.hh"
 #include "util/logging.hh"
 
@@ -196,10 +197,16 @@ specWorkloads(const GridSpec &spec)
 } // namespace
 
 std::string
-gridCachePath(const ToolflowOptions &opt)
+gridCachePath(const ToolflowOptions &opt, const GridSpec &spec)
 {
     if (opt.cacheDir.empty())
         return "";
+    // The grid's cells are a function of the ordered workload list, so
+    // its CRC is part of the name: grids over different workloads in
+    // one cache dir must never load each other's CSV.
+    std::string workloads;
+    for (const auto &name : specWorkloads(spec))
+        workloads += name + "\n";
     char buf[160];
     // "_p5" = grid-file revision: p2 added the enginefault/retries
     // columns; p3 invalidated grids derived from float-precision
@@ -207,11 +214,13 @@ gridCachePath(const ToolflowOptions &opt)
     // (weighted, wsum, wunsafe, wsqsum); p5 added the multi-core
     // refinement columns and the mc geometry in the name (a grid may
     // contain threaded cells, whose results depend on it).
-    std::snprintf(buf, sizeof(buf), "grid_r%d_s%llu_x%d%s%s_c%uq%u_p5.csv",
+    std::snprintf(buf, sizeof(buf),
+                  "grid_r%d_s%llu_x%d%s%s_c%uq%u_w%08x_p5.csv",
                   cellRunCap(opt),
                   static_cast<unsigned long long>(opt.seed),
                   opt.workloadScale, adaptiveSuffix(opt).c_str(),
-                  isSuffix(opt).c_str(), opt.mcCores, opt.mcQuantum);
+                  isSuffix(opt).c_str(), opt.mcCores, opt.mcQuantum,
+                  static_cast<unsigned>(crc32(workloads)));
     return opt.cacheDir + "/" + buf;
 }
 
@@ -476,7 +485,7 @@ runEvaluationGrid(Toolflow &tf, const GridSpec &spec)
     const auto &opt = tf.options();
     std::string cachePath;
     if (spec.useCache && !opt.cacheDir.empty()) {
-        cachePath = gridCachePath(opt);
+        cachePath = gridCachePath(opt, spec);
         if (auto grid = loadGrid(cachePath)) {
             inform("loaded cached evaluation grid %s",
                    cachePath.c_str());

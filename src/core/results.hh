@@ -117,8 +117,12 @@ std::vector<CellPlan> planEvaluationGrid(const ToolflowOptions &opt,
 
 /** Injection runs per cell: fixed count or the adaptive cap. */
 int cellRunCap(const ToolflowOptions &opt);
-/** Grid CSV path in the cache dir ("" when caching is off). */
-std::string gridCachePath(const ToolflowOptions &opt);
+/**
+ * Grid CSV path in the cache dir ("" when caching is off); the name
+ * carries a CRC of the spec's ordered workload list.
+ */
+std::string gridCachePath(const ToolflowOptions &opt,
+                          const GridSpec &spec);
 /** Journal file path for one grid cell (unique per configuration). */
 std::string cellJournalPath(const ToolflowOptions &opt,
                             const std::string &workload,

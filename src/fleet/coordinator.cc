@@ -452,7 +452,7 @@ runFleetGrid(const ToolflowOptions &opt, const FleetOptions &fopt,
 {
     std::string cachePath;
     if (spec.useCache && !opt.cacheDir.empty()) {
-        cachePath = core::gridCachePath(opt);
+        cachePath = core::gridCachePath(opt, spec);
         if (auto grid = core::loadGrid(cachePath)) {
             inform("loaded cached evaluation grid %s",
                    cachePath.c_str());

@@ -189,9 +189,9 @@ workerMain(const std::string &spoolDir)
     core::Toolflow tf(plan->opt);
     std::vector<CellPlan> cells =
         core::planEvaluationGrid(plan->opt, plan->spec);
-    std::string gridCsv = plan->spec.useCache
-                              ? core::gridCachePath(plan->opt)
-                              : std::string();
+    std::string gridCsv =
+        plan->spec.useCache ? core::gridCachePath(plan->opt, plan->spec)
+                            : std::string();
 
     obs::Registry &reg = obs::Registry::global();
     obs::Counter granted =

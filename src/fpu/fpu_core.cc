@@ -69,23 +69,24 @@ FpuCore::execute(size_t point, FpuOp op, uint64_t a, uint64_t b)
 }
 
 void
-FpuCore::executeBatch(size_t point, FpuOp op, const uint64_t *a,
+FpuCore::executeBatch(size_t point, const FpuOp *ops, const uint64_t *a,
                       const uint64_t *b, unsigned lanes, Exec *out)
 {
-    FpuUnit &u = unit(unitFor(op));
+    panic_if(lanes == 0, "executeBatch: empty block");
+    const FpuUnitKind kind = unitFor(ops[0]);
+    for (unsigned l = 1; l < lanes; ++l)
+        panic_if(unitFor(ops[l]) != kind,
+                 "executeBatch: lane %u op %s does not run on unit %s", l,
+                 fpuOpName(ops[l]), fpuUnitName(kind));
+    FpuUnit &u = unit(kind);
     // Transpose the operands into W-word planes per stage-0 input net
     // (input-major; one word per net up to 64 lanes, the historical
-    // layout); packInputs stays the single source of truth for the
-    // input layout itself.
+    // layout); FpuUnit owns the input layout itself.
     const unsigned W = circuit::CompiledDta::wordsFor(lanes);
     std::vector<uint64_t> planes(u.stage(0).numInputs() * size_t{W},
                                  0);
-    for (unsigned l = 0; l < lanes; ++l) {
-        auto in = u.packInputs(op, a[l], b[l]);
-        for (size_t i = 0; i < in.size(); ++i)
-            if (in[i])
-                planes[i * W + l / 64] |= 1ULL << (l % 64);
-    }
+    for (unsigned l = 0; l < lanes; ++l)
+        u.packLane(ops[l], a[l], b[l], planes.data(), W, l);
     u.executeBatch(point, planes, lanes, captureTimePs_, out);
 }
 

@@ -13,7 +13,6 @@ using circuit::DelayAnnotation;
 using circuit::DtaResult;
 using circuit::EventDrivenDta;
 using circuit::LevelizedDta;
-using circuit::Netlist;
 
 FpuUnit::FpuUnit(FpuUnitKind kind, const FpuConfig &cfg,
                  const circuit::CellLibrary &lib)
@@ -317,24 +316,31 @@ FpuUnit::reset(size_t point)
         p.clear();
 }
 
-std::vector<bool>
-FpuUnit::packInputs(FpuOp op, uint64_t a, uint64_t b) const
+namespace {
+
+/**
+ * The stage-0 input layout of every unit kind: calls set(i) for each
+ * input net i that is 1 for (op, a, b). The one definition behind
+ * packInputs (scalar vector) and packLane (one lane of the planes).
+ */
+template <class Set>
+void
+forEachInputBit(FpuUnitKind kind, FpuOp op, uint64_t a, uint64_t b,
+                Set &&set)
 {
-    panic_if(unitFor(op) != kind_, "op %s does not run on unit %s",
-             fpuOpName(op), name());
-    const Netlist &s0 = *stages_.front();
-    std::vector<bool> in(s0.numInputs());
     auto put = [&](size_t base, uint64_t v, unsigned width) {
         for (unsigned i = 0; i < width; ++i)
-            in[base + i] = (v >> i) & 1;
+            if ((v >> i) & 1)
+                set(base + i);
     };
     unsigned w = isDoubleOp(op) ? 64 : 32;
-    switch (kind_) {
+    switch (kind) {
       case FpuUnitKind::AddSubD:
       case FpuUnitKind::AddSubS:
         put(0, a, w);
         put(w, b, w);
-        in[2 * w] = (op == FpuOp::SubD || op == FpuOp::SubS);
+        if (op == FpuOp::SubD || op == FpuOp::SubS)
+            set(2 * w);
         break;
       case FpuUnitKind::MulD:
       case FpuUnitKind::MulS:
@@ -350,7 +356,30 @@ FpuUnit::packInputs(FpuOp op, uint64_t a, uint64_t b) const
         put(0, a, w);
         break;
     }
+}
+
+} // namespace
+
+std::vector<bool>
+FpuUnit::packInputs(FpuOp op, uint64_t a, uint64_t b) const
+{
+    panic_if(unitFor(op) != kind_, "op %s does not run on unit %s",
+             fpuOpName(op), name());
+    std::vector<bool> in(stages_.front()->numInputs());
+    forEachInputBit(kind_, op, a, b, [&](size_t i) { in[i] = true; });
     return in;
+}
+
+void
+FpuUnit::packLane(FpuOp op, uint64_t a, uint64_t b, uint64_t *planes,
+                  unsigned words, unsigned lane) const
+{
+    panic_if(unitFor(op) != kind_, "op %s does not run on unit %s",
+             fpuOpName(op), name());
+    const uint64_t bit = 1ULL << (lane % 64);
+    uint64_t *col = planes + lane / 64;
+    forEachInputBit(kind_, op, a, b,
+                    [&](size_t i) { col[i * words] |= bit; });
 }
 
 } // namespace tea::fpu

@@ -125,6 +125,15 @@ class FpuUnit
     /** Build the stage-0 input vector for an op on this unit. */
     std::vector<bool> packInputs(FpuOp op, uint64_t a, uint64_t b) const;
 
+    /**
+     * Set lane `lane` of zero-initialized stage-0 planes (`words`
+     * uint64_t words per input net, input-major — the executeBatch
+     * layout) to the op's inputs: packInputs' layout, without a
+     * per-op vector.
+     */
+    void packLane(FpuOp op, uint64_t a, uint64_t b, uint64_t *planes,
+                  unsigned words, unsigned lane) const;
+
     unsigned resultBits() const { return resultBits_; }
 
   private:

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
@@ -43,26 +42,17 @@ rejectionCounter(ErrorCode code)
         "campaign submissions rejected at admission");
 }
 
-/**
- * The coordinates under which a campaign's shared-cache artifacts
- * (grid CSV, cell journals, manifests) are named. Two *distinct*
- * campaigns with equal coordinates must not run concurrently — they
- * would write the same files.
- */
-std::string
-clashKeyFor(const core::ToolflowOptions &opt)
-{
-    char buf[128];
-    std::snprintf(buf, sizeof(buf), "r%d_s%llu_x%d_a%g_c%g",
-                  core::cellRunCap(opt),
-                  static_cast<unsigned long long>(opt.seed),
-                  opt.workloadScale,
-                  opt.adaptive() ? opt.ciTarget : 0.0,
-                  opt.adaptive() ? opt.ciConf : 0.0);
-    return std::string(buf) + "@" + opt.cacheDir;
-}
-
 } // namespace
+
+std::vector<std::string>
+clashKeysFor(const core::ToolflowOptions &opt, const core::GridSpec &spec)
+{
+    std::vector<std::string> keys{core::gridCachePath(opt, spec)};
+    for (const core::CellPlan &cp : core::planEvaluationGrid(opt, spec))
+        keys.push_back(
+            core::cellJournalPath(opt, cp.workload, cp.model, cp.vrFrac));
+    return keys;
+}
 
 DaemonOptions
 daemonOptionsFromEnv()
@@ -194,7 +184,7 @@ Scheduler::submit(const std::string &planBytes,
     c->planBytes = canon;
     c->plan = std::move(*plan);
     c->client = client;
-    c->clashKey = clashKeyFor(c->plan.opt);
+    c->clashKeys = clashKeysFor(c->plan.opt, c->plan.spec);
     c->cellsTotal =
         core::planEvaluationGrid(c->plan.opt, c->plan.spec).size();
     c->submitMs = wallClockMs();
@@ -366,7 +356,10 @@ Scheduler::nextRunnable()
 {
     for (auto it = queue_.begin(); it != queue_.end(); ++it) {
         const Campaign &c = *campaigns_.at(*it);
-        if (!runningClash_.count(c.clashKey))
+        if (std::none_of(c.clashKeys.begin(), c.clashKeys.end(),
+                         [&](const std::string &k) {
+                             return runningClash_.count(k) != 0;
+                         }))
             return it;
     }
     return queue_.end();
@@ -377,7 +370,8 @@ Scheduler::finish(Campaign &c, CampaignState state)
 {
     std::lock_guard<std::mutex> lock(mu_);
     c.state = state;
-    runningClash_.erase(c.clashKey);
+    for (const std::string &k : c.clashKeys)
+        runningClash_.erase(k);
     --running_;
     auto it = activeByPlan_.find(c.planBytes);
     if (it != activeByPlan_.end() && it->second == c.id)
@@ -455,7 +449,8 @@ Scheduler::executorLoop()
             queue_.erase(it);
             c->state = CampaignState::Running;
             c->startMs = wallClockMs();
-            runningClash_.insert(c->clashKey);
+            runningClash_.insert(c->clashKeys.begin(),
+                                 c->clashKeys.end());
             ++running_;
             reg.histogram(obs::metric::kDaemonQueueWaitMs,
                           obs::latencyBucketsMs(), "",

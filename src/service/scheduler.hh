@@ -23,10 +23,12 @@
  *     `queueCap` campaigns are already waiting. The daemon never
  *     blocks a submitter and never drops a campaign it accepted.
  *
- * Two non-identical campaigns whose artifact coordinates (run cap,
- * seed, scale, adaptive suffix) collide would race on the same grid
- * CSV and journal files in the shared cache; the scheduler serializes
- * them — such a campaign stays queued until the clashing one finishes.
+ * Two non-identical campaigns that share an artifact path (the grid
+ * CSV, or the journal of a common cell) would race on the same files
+ * in the shared cache; the scheduler serializes them — such a
+ * campaign stays queued until the clashing one finishes. Campaigns on
+ * different workloads or core counts write disjoint files and run
+ * concurrently.
  *
  * Execution streams: every merged cell is appended to the campaign's
  * in-memory result list and broadcast; `next()` is the blocking
@@ -90,6 +92,15 @@ struct DaemonOptions
  * default), plus the REPRO_FLEET_* fleet settings.
  */
 DaemonOptions daemonOptionsFromEnv();
+
+/**
+ * The shared-cache artifact paths a campaign writes: its grid CSV and
+ * one journal per cell (each cell's manifest path mirrors its
+ * journal's). Two distinct campaigns sharing any of them must not run
+ * concurrently — they would write the same files.
+ */
+std::vector<std::string> clashKeysFor(const core::ToolflowOptions &opt,
+                                      const core::GridSpec &spec);
 
 enum class CampaignState
 {
@@ -188,8 +199,8 @@ class Scheduler
         std::string planBytes;
         fleet::FleetPlan plan;
         std::string client;
-        /** Shared-cache artifact coordinates (see file header). */
-        std::string clashKey;
+        /** Shared-cache artifact paths it writes (see file header). */
+        std::vector<std::string> clashKeys;
         CampaignState state = CampaignState::Queued;
         std::atomic<bool> stop{false};
         std::vector<core::CampaignCell> cells;
@@ -214,7 +225,7 @@ class Scheduler
     std::deque<uint64_t> queue_;
     /** planBytes -> active (queued/running) campaign id. */
     std::map<std::string, uint64_t> activeByPlan_;
-    /** Clash keys of running campaigns (serialization guard). */
+    /** Artifact paths of running campaigns (serialization guard). */
     std::set<std::string> runningClash_;
     size_t running_ = 0;
     bool draining_ = false;

@@ -214,20 +214,27 @@ DtaCampaign::execute(FpuOp op, uint64_t a, uint64_t b)
 }
 
 void
-DtaCampaign::executeBlock(FpuOp op, const uint64_t *a, const uint64_t *b,
-                          unsigned lanes)
+DtaCampaign::executeBlock(const FpuOp *ops, const uint64_t *a,
+                          const uint64_t *b, unsigned lanes)
 {
     static obs::Counter mBatches = obs::Registry::global().counter(
         obs::metric::kDtaLaneBatches, "",
-        "lane-batched DTA blocks executed");
+        "multi-lane DTA blocks executed");
+    static obs::Counter mFallback = obs::Registry::global().counter(
+        obs::metric::kDtaLaneFallbackOps, "",
+        "DTA ops run as single-lane blocks while lane batching was "
+        "enabled");
     fpu::FpuCore::Exec execs[circuit::CompiledDta::kMaxLanes];
-    core_.executeBatch(point_, op, a, b, lanes, execs);
-    mBatches.inc(1);
+    core_.executeBatch(point_, ops, a, b, lanes, execs);
+    if (lanes > 1)
+        mBatches.inc(1);
+    else if (dtaLanes() > 1)
+        mFallback.inc(1);
     // Lanes are recorded in order, so the stats stream — totals,
     // per-bit counts, and reservoir key sequence — is exactly the one
     // `lanes` scalar execute() calls would produce.
     for (unsigned l = 0; l < lanes; ++l)
-        record(op, execs[l].errorMask);
+        record(ops[l], execs[l].errorMask);
 }
 
 namespace {
@@ -454,42 +461,31 @@ constexpr uint64_t kOpPollMask = 0x3F;
 
 /**
  * Stream `count` random-operand ops of one type through a shard's
- * campaign, lane-batched where possible. Shared verbatim by the fixed
- * and adaptive characterizations so a shard produces identical
- * statistics for the same substream in either mode. Operands are
- * always drawn one op at a time in stream order, so the lane width
- * never shifts the RNG sequence.
+ * campaign in blocks of up to `lanes` (the last one partial). Shared
+ * verbatim by the fixed and adaptive characterizations so a shard
+ * produces identical statistics for the same substream in either
+ * mode. Operands are always drawn one op at a time in stream order,
+ * so the lane width never shifts the RNG sequence.
  */
 void
 runRandomShardOps(DtaCampaign &campaign, FpuOp op, uint64_t count,
                   Rng &shardRng, unsigned lanes,
                   const Watchdog *watchdog)
 {
+    FpuOp ops[circuit::CompiledDta::kMaxLanes];
+    uint64_t a[circuit::CompiledDta::kMaxLanes];
+    uint64_t b[circuit::CompiledDta::kMaxLanes];
+    std::fill(ops, ops + lanes, op);
     for (uint64_t i = 0; i < count;) {
         if (watchdog && (lanes > 1 || (i & kOpPollMask) == 0) &&
             watchdog->poll() != Watchdog::Stop::None)
             return;
-        if (lanes > 1 && count - i >= lanes) {
-            uint64_t a[circuit::CompiledDta::kMaxLanes];
-            uint64_t b[circuit::CompiledDta::kMaxLanes];
-            for (unsigned l = 0; l < lanes; ++l)
-                randomOperands(op, shardRng, a[l], b[l]);
-            campaign.executeBlock(op, a, b, lanes);
-            i += lanes;
-        } else {
-            if (lanes > 1) {
-                static obs::Counter mFallback =
-                    obs::Registry::global().counter(
-                        obs::metric::kDtaLaneFallbackOps, "",
-                        "DTA ops run scalar while lane "
-                        "batching was enabled");
-                mFallback.inc(1);
-            }
-            uint64_t a, b;
-            randomOperands(op, shardRng, a, b);
-            campaign.execute(op, a, b);
-            ++i;
-        }
+        auto n = static_cast<unsigned>(
+            std::min<uint64_t>(lanes, count - i));
+        for (unsigned l = 0; l < n; ++l)
+            randomOperands(op, shardRng, a[l], b[l]);
+        campaign.executeBlock(ops, a, b, n);
+        i += n;
     }
 }
 
@@ -534,12 +530,18 @@ traceWindows(uint64_t traceSize, uint64_t maxOps)
 }
 
 /**
- * Replay one trace window through a shard's campaign. Lane blocks span
- * maximal runs of one op type (a block drives a single unit); shorter
- * runs and op changes fall back to the scalar path. Grouping never
- * reorders the replay, so results stay bit-identical at every lane
- * width — and identical between the fixed and adaptive campaigns,
- * which share this body.
+ * Replay one trace window through a shard's campaign, demultiplexed
+ * by FPU unit: each unit's entries keep their trace order and run in
+ * blocks of up to `lanes` (a block may mix AddD/SubD, which share a
+ * unit). This is exact because every unit keeps its own pipeline
+ * history and an op touches only its own unit, so each unit sees the
+ * same input sequence as in the sequential replay; and because each
+ * op type belongs to one unit and statistics are kept per op type,
+ * recording block by block feeds every op's totals, per-bit counts
+ * and reservoir key sequence in trace order. Results are therefore
+ * bit-identical at every lane width — and between the fixed and
+ * adaptive campaigns, which share this body. Scratch is one index per
+ * window entry.
  */
 void
 runTraceWindowOps(DtaCampaign &campaign,
@@ -547,35 +549,39 @@ runTraceWindowOps(DtaCampaign &campaign,
                   const TraceWindow &w, unsigned lanes,
                   const Watchdog *watchdog)
 {
-    for (uint64_t i = 0; i < w.count;) {
-        if (watchdog && (lanes > 1 || (i & kOpPollMask) == 0) &&
-            watchdog->poll() != Watchdog::Stop::None)
-            return;
-        const auto &e0 = trace[w.begin + i];
-        unsigned run = 1;
-        while (run < lanes && i + run < w.count &&
-               trace[w.begin + i + run].op == e0.op)
-            ++run;
-        if (lanes > 1 && run == lanes) {
-            uint64_t a[circuit::CompiledDta::kMaxLanes];
-            uint64_t b[circuit::CompiledDta::kMaxLanes];
-            for (unsigned l = 0; l < lanes; ++l) {
-                a[l] = trace[w.begin + i + l].a;
-                b[l] = trace[w.begin + i + l].b;
+    const sim::FpTraceEntry *entries = trace.data() + w.begin;
+    auto unitOf = [&](uint64_t i) {
+        return static_cast<size_t>(fpu::unitFor(entries[i].op));
+    };
+    // Stable counting sort of the window positions by unit.
+    std::array<uint64_t, fpu::kNumFpuUnits + 1> start{};
+    for (uint64_t i = 0; i < w.count; ++i)
+        ++start[unitOf(i) + 1];
+    for (unsigned u = 0; u < fpu::kNumFpuUnits; ++u)
+        start[u + 1] += start[u];
+    std::vector<uint32_t> order(w.count);
+    auto fill = start;
+    for (uint64_t i = 0; i < w.count; ++i)
+        order[fill[unitOf(i)]++] = static_cast<uint32_t>(i);
+
+    FpuOp ops[circuit::CompiledDta::kMaxLanes];
+    uint64_t a[circuit::CompiledDta::kMaxLanes];
+    uint64_t b[circuit::CompiledDta::kMaxLanes];
+    for (unsigned u = 0; u < fpu::kNumFpuUnits; ++u) {
+        for (uint64_t k = start[u]; k < start[u + 1];) {
+            if (watchdog && (lanes > 1 || (k & kOpPollMask) == 0) &&
+                watchdog->poll() != Watchdog::Stop::None)
+                return;
+            auto n = static_cast<unsigned>(
+                std::min<uint64_t>(lanes, start[u + 1] - k));
+            for (unsigned l = 0; l < n; ++l) {
+                const sim::FpTraceEntry &e = entries[order[k + l]];
+                ops[l] = e.op;
+                a[l] = e.a;
+                b[l] = e.b;
             }
-            campaign.executeBlock(e0.op, a, b, lanes);
-            i += lanes;
-        } else {
-            if (lanes > 1) {
-                static obs::Counter mFallback =
-                    obs::Registry::global().counter(
-                        obs::metric::kDtaLaneFallbackOps, "",
-                        "DTA ops run scalar while lane "
-                        "batching was enabled");
-                mFallback.inc(1);
-            }
-            campaign.execute(e0.op, e0.a, e0.b);
-            ++i;
+            campaign.executeBlock(ops, a, b, n);
+            k += n;
         }
     }
 }

@@ -144,11 +144,13 @@ class DtaCampaign
     void execute(fpu::FpuOp op, uint64_t a, uint64_t b);
 
     /**
-     * Run `lanes` (<= 64) same-op instructions through the
-     * bit-parallel lane engine and record each lane in order —
-     * statistics are bit-identical to `lanes` execute() calls.
+     * Run a block of `lanes` instructions on one unit (ops[l] may mix
+     * AddD/SubD or AddS/SubS; see FpuCore::executeBatch) through the
+     * batched DTA engine, up to dtaLanes() wide, and record each lane
+     * in order — statistics are bit-identical to `lanes` execute()
+     * calls.
      */
-    void executeBlock(fpu::FpuOp op, const uint64_t *a,
+    void executeBlock(const fpu::FpuOp *ops, const uint64_t *a,
                       const uint64_t *b, unsigned lanes);
 
     const CampaignStats &stats() const { return stats_; }
@@ -229,7 +231,9 @@ CampaignStats runRandomCampaign(fpu::FpuCore &core, size_t point,
  * contiguous windows evenly spaced across the trace (contiguity
  * preserves the operand-transition history the timing model needs).
  * Windows are independent shards: each starts from clean pipeline
- * history, so results are thread-count-invariant.
+ * history, so results are thread-count-invariant. Within a window
+ * each FPU unit receives its ops in trace order, batched per unit;
+ * units keep separate histories, so this is the sequential replay.
  */
 CampaignStats runTraceCampaign(fpu::FpuCore &core, size_t point,
                                const std::vector<sim::FpTraceEntry> &trace,

@@ -90,8 +90,13 @@ ThreadPool::workerLoop(unsigned workerIndex)
             job->active.fetch_add(1, std::memory_order_relaxed);
         }
         runTasks(*job, workerIndex);
-        if (job->active.fetch_sub(1, std::memory_order_acq_rel) == 1)
+        if (job->active.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+            // Notify under the mutex: the caller tests `active` and
+            // blocks under it, so an unlocked notify can land between
+            // its test and its wait and be lost (a hang).
+            std::lock_guard<std::mutex> lock(mutex_);
             done_.notify_all();
+        }
     }
 }
 

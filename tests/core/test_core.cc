@@ -8,6 +8,7 @@
 #include "core/energy.hh"
 #include "core/results.hh"
 #include "core/toolflow.hh"
+#include "workloads/workloads.hh"
 
 using namespace tea;
 using namespace tea::core;
@@ -219,6 +220,33 @@ TEST(Results, TinyGridRuns)
     auto grid2 = runEvaluationGrid(tf);
     EXPECT_EQ(grid2.cells.size(), grid.cells.size());
     std::filesystem::remove_all("/tmp/tea_test_cache2");
+}
+
+TEST(Results, GridCacheKeyedByWorkloads)
+{
+    // Regression: a {srad_v1} grid run after a {sobel} grid in the
+    // same cache dir used to load the sobel grid's CSV.
+    std::filesystem::remove_all("/tmp/tea_test_cache3");
+    auto opt = tinyOptions();
+    opt.cacheDir = "/tmp/tea_test_cache3";
+    Toolflow tf(opt);
+    GridSpec sobel, srad;
+    sobel.workloads = {"sobel"};
+    srad.workloads = {"srad_v1"};
+    EXPECT_NE(gridCachePath(opt, sobel), gridCachePath(opt, srad));
+    // An empty list means every workload, so it names the same grid
+    // as the explicit full list.
+    GridSpec all;
+    all.workloads = workloads::workloadNames();
+    EXPECT_EQ(gridCachePath(opt, GridSpec{}), gridCachePath(opt, all));
+
+    for (const GridSpec *spec : {&sobel, &srad, &sobel}) {
+        auto grid = runEvaluationGrid(tf, *spec);
+        ASSERT_EQ(grid.cells.size(), 3u);
+        for (const auto &cell : grid.cells)
+            EXPECT_EQ(cell.workload, spec->workloads[0]);
+    }
+    std::filesystem::remove_all("/tmp/tea_test_cache3");
 }
 
 TEST(OptionsFromEnv, Defaults)

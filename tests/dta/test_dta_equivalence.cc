@@ -3,22 +3,33 @@
  *
  * The contract under test: the bit-parallel lane engine, the scalar
  * levelized engine, and the exact event-driven reference agree where
- * they must — and campaigns produce bit-identical statistics at every
- * lane width and thread count. Also pins the float->double arrival
- * precision fix and the deterministic mask-pool reservoir.
+ * they must — mixed-op blocks on a shared unit included — and
+ * campaigns, including unit-demultiplexed trace replays, produce
+ * bit-identical statistics at every backend, lane width and thread
+ * count. Also pins the float->double arrival precision fix and the
+ * deterministic mask-pool reservoir.
  */
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "circuit/builders.hh"
 #include "circuit/celllib.hh"
+#include "circuit/compiled_dta.hh"
 #include "circuit/dta.hh"
 #include "fpu/fpu_core.hh"
+#include "models/error_models.hh"
 #include "timing/ber_csv.hh"
 #include "timing/dta_campaign.hh"
 #include "util/rng.hh"
@@ -44,6 +55,16 @@ vr20Point()
 {
     static size_t p = core().addOperatingPoint(
         VoltageModel{}.delayFactorAtReduction(kVR20));
+    return p;
+}
+
+/** A deeper reduction than the paper's grid, where AddD/SubD fail
+ * too (at VR20 only the multiplier does). */
+size_t
+vr30Point()
+{
+    static size_t p = core().addOperatingPoint(
+        VoltageModel{}.delayFactorAtReduction(0.30));
     return p;
 }
 
@@ -175,6 +196,7 @@ TEST(DtaEquivalence, ExecuteBatchMatchesSequentialExecute)
     // Same stream cut into batches and scalar interludes: the batch
     // boundary must continue the pipeline history exactly.
     c.reset(pt);
+    const std::vector<FpuOp> ops(kOps, FpuOp::MulD);
     std::vector<fpu::FpuCore::Exec> got(kOps);
     unsigned i = 0;
     for (unsigned seg : {5u, 64u, 3u, 64u, 17u, 64u, 2u, 64u, 29u, 64u,
@@ -184,8 +206,8 @@ TEST(DtaEquivalence, ExecuteBatchMatchesSequentialExecute)
             for (unsigned k = 0; k < seg; ++k)
                 got[i + k] = c.execute(pt, FpuOp::MulD, a[i + k], b[i + k]);
         } else {
-            c.executeBatch(pt, FpuOp::MulD, a.data() + i, b.data() + i,
-                           seg, got.data() + i);
+            c.executeBatch(pt, ops.data() + i, a.data() + i,
+                           b.data() + i, seg, got.data() + i);
         }
         i += seg;
     }
@@ -217,8 +239,8 @@ TEST(DtaEquivalence, RandomCampaignInvariantAcrossLanesAndThreads)
 {
     auto &c = core();
     size_t pt = vr20Point();
-    // 160 ops/type: two full 64-lane blocks plus a 32-op scalar
-    // remainder per shard, so both paths run.
+    // 160 ops/type: two full 64-lane blocks plus a partial 32-lane
+    // tail block per shard (at 16 lanes: ten full blocks).
     constexpr uint64_t kPerOp = 160;
 
     auto run = [&](unsigned lanes, unsigned threads) {
@@ -252,9 +274,10 @@ TEST(DtaEquivalence, TraceCampaignInvariantWithMixedOpRuns)
     auto &c = core();
     size_t pt = vr20Point();
 
-    // Mixed-op trace: long MulD runs (lane blocks) broken by short
-    // AddD/SubD bursts (scalar fallback — a run shorter than the lane
-    // width never forms a block).
+    // Mixed-op trace: long MulD runs broken by short AddD/SubD bursts.
+    // Windows are demultiplexed by unit, so the MulD entries of a
+    // window form full blocks across the bursts and each burst's
+    // AddD/SubD entries share one mixed AddSubD block.
     std::vector<sim::FpTraceEntry> trace;
     Rng rng(43);
     auto push = [&](FpuOp op, unsigned n) {
@@ -285,6 +308,177 @@ TEST(DtaEquivalence, TraceCampaignInvariantWithMixedOpRuns)
     expectIdenticalStats(got64, ref, "trace lanes=64 threads=1");
     auto got64t = run(64, 2);
     expectIdenticalStats(got64t, ref, "trace lanes=64 threads=2");
+}
+
+TEST(DtaEquivalence, MixedOpExecuteBatchMatchesSequentialExecute)
+{
+    // AddD and SubD share the AddSubD unit, so one block may alternate
+    // them lane by lane. The block must equal the same ops run through
+    // execute() one at a time from a fresh point — per lane, and in
+    // the pipeline history it leaves behind, which the probe ops
+    // after the block read.
+    auto &c = core();
+    size_t pt = vr30Point();
+    constexpr unsigned kOps = 200, kProbe = 6;
+
+    Rng rng(45);
+    std::vector<FpuOp> ops(kOps + kProbe);
+    std::vector<uint64_t> a(kOps + kProbe), b(kOps + kProbe);
+    for (unsigned i = 0; i < ops.size(); ++i) {
+        ops[i] = i % 2 ? FpuOp::SubD : FpuOp::AddD;
+        randomOperands(ops[i], rng, a[i], b[i]);
+    }
+    auto sequential = [&] {
+        c.reset(pt);
+        std::vector<fpu::FpuCore::Exec> out;
+        for (unsigned i = 0; i < ops.size(); ++i)
+            out.push_back(c.execute(pt, ops[i], a[i], b[i]));
+        return out;
+    };
+    auto blocked = [&](unsigned lanes) {
+        c.reset(pt);
+        std::vector<fpu::FpuCore::Exec> out(ops.size());
+        for (unsigned i = 0; i < kOps;) {
+            unsigned n = std::min(lanes, kOps - i);
+            c.executeBatch(pt, ops.data() + i, a.data() + i,
+                           b.data() + i, n, out.data() + i);
+            i += n;
+        }
+        for (unsigned i = kOps; i < ops.size(); ++i)
+            out[i] = c.execute(pt, ops[i], a[i], b[i]);
+        return out;
+    };
+
+    const auto ref = sequential();
+    unsigned faulty = 0;
+    for (const auto &e : ref)
+        faulty += e.timingError;
+    EXPECT_GT(faulty, 0u);
+
+    struct Config
+    {
+        DtaBackend backend;
+        unsigned lanes;
+    };
+    for (Config cfg : {Config{DtaBackend::Lane, 64},
+                       Config{DtaBackend::Lane, 7},
+                       Config{DtaBackend::Compiled, 512},
+                       Config{DtaBackend::Levelized, 64}}) {
+        setDtaBackend(cfg.backend);
+        const auto got = blocked(cfg.lanes);
+        resetDtaBackend();
+        for (unsigned k = 0; k < ops.size(); ++k) {
+            SCOPED_TRACE(testing::Message()
+                         << dtaBackendName(cfg.backend) << " lanes "
+                         << cfg.lanes << " op " << k);
+            ASSERT_EQ(got[k].golden, ref[k].golden);
+            ASSERT_EQ(got[k].faulty, ref[k].faulty);
+            ASSERT_EQ(got[k].errorMask, ref[k].errorMask);
+            ASSERT_EQ(got[k].goldenFlags, ref[k].goldenFlags);
+            ASSERT_EQ(got[k].faultyFlags, ref[k].faultyFlags);
+            ASSERT_EQ(got[k].timingError, ref[k].timingError);
+        }
+    }
+
+    // A block must stay on one unit.
+    const FpuOp cross[2] = {FpuOp::AddD, FpuOp::MulD};
+    fpu::FpuCore::Exec out[2];
+    EXPECT_DEATH(c.executeBatch(pt, cross, a.data(), b.data(), 2, out),
+                 "does not run on unit");
+}
+
+TEST(DtaEquivalence, TraceCampaignDemuxInvariantAcrossBackendLanesThreads)
+{
+    auto &c = core();
+    size_t pt = vr30Point();
+
+    // Three windows: all 12 ops round-robin (AddD/SubD alternate on
+    // the AddSubD unit), then a window of alternating AddD/SubD in
+    // which every other unit occurs exactly once (single-lane
+    // blocks), then a partial round-robin window.
+    const FpuOp singles[] = {FpuOp::MulD, FpuOp::DivD, FpuOp::I2FD,
+                             FpuOp::F2ID, FpuOp::SubS, FpuOp::MulS,
+                             FpuOp::DivS, FpuOp::I2FS, FpuOp::F2IS};
+    std::vector<sim::FpTraceEntry> trace;
+    Rng rng(46);
+    auto push = [&](FpuOp op) {
+        uint64_t a, b;
+        randomOperands(op, rng, a, b);
+        trace.push_back({op, a, b});
+    };
+    for (uint64_t i = 0; i < kDtaShardOps; ++i)
+        push(static_cast<FpuOp>(i % fpu::kNumFpuOps));
+    for (uint64_t i = 0; i < kDtaShardOps; ++i) {
+        uint64_t s = i / 50;
+        if (i % 50 == 25 && s < std::size(singles))
+            push(singles[s]);
+        else
+            push(i % 2 ? FpuOp::SubD : FpuOp::AddD);
+    }
+    for (uint64_t i = 0; i < 150; ++i)
+        push(static_cast<FpuOp>((i * 5) % fpu::kNumFpuOps));
+
+    auto dir = std::filesystem::temp_directory_path() /
+               ("tea_dta_demux_" + std::to_string(::getpid()));
+    std::filesystem::create_directories(dir);
+    auto bytes = [&](const CampaignStats &st) {
+        auto path = (dir / "stats").string();
+        EXPECT_TRUE(models::saveCampaignStats(path, st));
+        std::ifstream in(path, std::ios::binary);
+        return std::string(std::istreambuf_iterator<char>(in), {});
+    };
+    auto run = [&](DtaBackend backend, unsigned lanes,
+                   unsigned threads) {
+        setDtaBackend(backend);
+        setDtaLanes(lanes);
+        ThreadPool pool(threads);
+        auto stats = runTraceCampaign(c, pt, trace, trace.size(), &pool);
+        setDtaLanes(0);
+        resetDtaBackend();
+        return stats;
+    };
+
+    // Oracle: each window replayed in trace order through the scalar
+    // execute() path, from clean history, keyed and merged the way
+    // the sharded campaign keys and merges its windows.
+    CampaignStats ref;
+    for (uint64_t w = 0; w * kDtaShardOps < trace.size(); ++w) {
+        c.reset(pt);
+        DtaCampaign window(c, pt, w);
+        uint64_t end = std::min<uint64_t>((w + 1) * kDtaShardOps,
+                                          trace.size());
+        for (uint64_t i = w * kDtaShardOps; i < end; ++i)
+            window.execute(trace[i].op, trace[i].a, trace[i].b);
+        ref.merge(window.stats());
+    }
+    EXPECT_EQ(ref.totalOps(), trace.size());
+    EXPECT_GT(ref.of(FpuOp::AddD).faulty, 0u);
+    EXPECT_GT(ref.of(FpuOp::SubD).faulty, 0u);
+    EXPECT_GT(ref.of(FpuOp::MulD).faulty, 0u);
+    const std::string refBytes = bytes(ref);
+
+    for (DtaBackend backend : {DtaBackend::Levelized, DtaBackend::Lane,
+                               DtaBackend::Compiled}) {
+        std::vector<unsigned> widths{1, 2, 7, 64};
+        if (backend == DtaBackend::Compiled)
+            widths.push_back(CompiledDta::kMaxLanes);
+        for (unsigned lanes : widths) {
+            for (unsigned threads : {1u, 3u}) {
+                auto got = run(backend, lanes, threads);
+                char what[64];
+                std::snprintf(what, sizeof(what),
+                              "%s lanes=%u threads=%u",
+                              dtaBackendName(backend), lanes, threads);
+                expectIdenticalStats(got, ref, what);
+                std::string gotBytes = bytes(got);
+                EXPECT_TRUE(gotBytes.size() == refBytes.size() &&
+                            std::memcmp(gotBytes.data(), refBytes.data(),
+                                        refBytes.size()) == 0)
+                    << what;
+            }
+        }
+    }
+    std::filesystem::remove_all(dir);
 }
 
 TEST(DtaReservoir, CapBoundsPoolAndKeepsSmallestKeys)

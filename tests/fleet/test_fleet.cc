@@ -125,7 +125,7 @@ Artifacts
 captureAndClear(const ToolflowOptions &opt, const GridSpec &spec)
 {
     Artifacts a;
-    std::string csvPath = gridCachePath(opt);
+    std::string csvPath = gridCachePath(opt, spec);
     a.csv = readFileToString(csvPath).value_or("");
     fs::remove(csvPath);
     for (const CellPlan &cp : planEvaluationGrid(opt, spec)) {

@@ -29,8 +29,9 @@ TEST(IsaEncode, RoundTripAllFormats)
         EXPECT_EQ(rt->rd, insn.rd) << opName(insn.op);
         EXPECT_EQ(rt->rs1, insn.rs1) << opName(insn.op);
         if (readsIntRs2(insn.op) || readsFpRs2(insn.op) ||
-            isBranch(insn.op))
+            isBranch(insn.op)) {
             EXPECT_EQ(rt->rs2, insn.rs2) << opName(insn.op);
+        }
         EXPECT_EQ(rt->imm, insn.imm) << opName(insn.op);
     }
 }
@@ -47,8 +48,9 @@ TEST(IsaPredicates, Consistency)
         // An op never writes both register files.
         EXPECT_FALSE(writesIntReg(op) && writesFpReg(op)) << opName(op);
         // FP-arith ops map to FPU ops and back.
-        if (isFpArith(op))
+        if (isFpArith(op)) {
             EXPECT_EQ(isaOpFor(fpuOpFor(op)), op) << opName(op);
+        }
         // Loads and stores are disjoint.
         EXPECT_FALSE(isLoad(op) && isStore(op)) << opName(op);
     }

@@ -16,6 +16,7 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -324,6 +325,45 @@ TEST(ServiceScheduler, DedupAttachesIdenticalPlans)
     fs::remove_all(dir);
 }
 
+TEST(ServiceScheduler, ClashKeysFollowArtifactPaths)
+{
+    // Campaigns clash exactly when they would write a common file:
+    // different workloads or core counts run side by side, a shared
+    // cell (same workload, coordinates and cache dir) serializes.
+    auto keys = [](const ToolflowOptions &opt,
+                   std::vector<std::string> workloads) {
+        GridSpec spec;
+        spec.workloads = std::move(workloads);
+        auto v = clashKeysFor(opt, spec);
+        return std::set<std::string>(v.begin(), v.end());
+    };
+    auto overlap = [](const std::set<std::string> &a,
+                      const std::set<std::string> &b) {
+        for (const auto &k : a)
+            if (b.count(k))
+                return true;
+        return false;
+    };
+    const ToolflowOptions opt = tinyOptions("/tmp/tea_svc_clash");
+    const auto sobel = keys(opt, {"sobel"});
+    const auto srad = keys(opt, {"srad_v1"});
+    const auto both = keys(opt, {"sobel", "srad_v1"});
+    EXPECT_FALSE(overlap(sobel, srad));
+    EXPECT_TRUE(overlap(sobel, both));
+    EXPECT_TRUE(overlap(srad, both));
+    EXPECT_EQ(keys(opt, {"sobel"}), sobel);
+
+    ToolflowOptions two = opt, four = opt;
+    two.mcCores = 2;
+    four.mcCores = 4;
+    EXPECT_FALSE(overlap(keys(two, {"k-means-mt"}),
+                         keys(four, {"k-means-mt"})));
+    // Another cache dir writes other files.
+    EXPECT_FALSE(
+        overlap(sobel, keys(tinyOptions("/tmp/tea_svc_clash2"),
+                            {"sobel"})));
+}
+
 TEST(ServiceScheduler, BackpressureRejectsButNeverDrops)
 {
     std::string dir = "/tmp/tea_svc_test_backpressure";
@@ -450,7 +490,7 @@ TEST(ServiceDaemon, ByteIdenticalToInProcessUnderChaos)
     Toolflow tf(refOpt);
     EvaluationGrid ref = runEvaluationGrid(tf, spec);
     ASSERT_EQ(ref.cells.size(), 3u);
-    std::string csvPath = gridCachePath(refOpt);
+    std::string csvPath = gridCachePath(refOpt, spec);
     std::string refCsv = readFileToString(csvPath).value_or("");
     ASSERT_FALSE(refCsv.empty());
     fs::remove(csvPath);
@@ -552,7 +592,7 @@ TEST(ServiceDaemon, ImportanceSampledCampaignMatchesInProcess)
     Toolflow tf(refOpt);
     EvaluationGrid ref = runEvaluationGrid(tf, spec);
     ASSERT_EQ(ref.cells.size(), 3u);
-    std::string csvPath = gridCachePath(refOpt);
+    std::string csvPath = gridCachePath(refOpt, spec);
     std::string refCsv = readFileToString(csvPath).value_or("");
     ASSERT_FALSE(refCsv.empty());
     fs::remove(csvPath);
