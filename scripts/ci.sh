@@ -67,6 +67,17 @@ if ! (cd "$root/build-san" && \
     echo "ci: multi-core determinism gate FAILED"
     exit 1
 fi
+# OoO timing-oracle gate, likewise named: the core pipeline's store
+# queue and busy set index fixed-size rings and multi-word bitsets, so
+# the pinned cycle/counter/output oracle (tests/sim, four ROB sizes)
+# runs under ASan+UBSan and under the regular build.
+echo "=== ci: OoO timing-oracle gate (ctest -L tier1sim) ==="
+if ! (cd "$root/build-san" && \
+      ASAN_OPTIONS="detect_leaks=0" ctest -L tier1sim --output-on-failure) \
+   || ! (cd "$root/build" && ctest -L tier1sim --output-on-failure); then
+    echo "ci: OoO timing-oracle gate FAILED"
+    exit 1
+fi
 # Batched-DTA identity gate, likewise named: WA/DA characterization
 # replays every trace through the batched kernels, so the
 # backend x lanes x threads identity of DESIGN.md §9/§11 runs under the
@@ -79,4 +90,4 @@ if ! (cd "$root/build-san" && \
     echo "ci: batched-DTA identity gate FAILED"
     exit 1
 fi
-echo "ci: OK (sanitizer, portable-SIMD, IS, multi-core, batched-DTA green)"
+echo "ci: OK (sanitizer, portable-SIMD, IS, multi-core, OoO oracle, batched-DTA green)"

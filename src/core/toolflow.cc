@@ -556,6 +556,12 @@ Toolflow::iaStats(double vrFrac)
 const CampaignStats &
 Toolflow::waStats(const std::string &workload, double vrFrac)
 {
+    // A threaded workload's trace is a function of the core count, so
+    // its statistics are cached per count. Single-core names stay as
+    // they were, keeping existing cache files valid.
+    std::string traced = workload;
+    if (workloads::isThreadedWorkload(workload))
+        traced += "-c" + std::to_string(opt_.mcCores);
     if (opt_.adaptive()) {
         // The window list is the fixed-N geometry (extended when
         // REPRO_MAX_RUNS asks for more); a converged adaptive run
@@ -564,7 +570,7 @@ Toolflow::waStats(const std::string &workload, double vrFrac)
                                             : opt_.waMaxOps;
         uint64_t maxOps = std::max(opt_.waMaxOps, cap);
         std::string tag = cacheTag(
-            "wa", adaptiveName(workload.c_str(), opt_), maxOps);
+            "wa", adaptiveName(traced.c_str(), opt_), maxOps);
         return characterize(tag, vrFrac, [&](size_t point) {
             inform("adaptive WA characterization of %s at VR%.0f "
                    "(half-width %g at %g%%, %u threads)...",
@@ -576,7 +582,7 @@ Toolflow::waStats(const std::string &workload, double vrFrac)
                 &cancelWatchdog_);
         });
     }
-    std::string tag = cacheTag("wa", workload, opt_.waMaxOps);
+    std::string tag = cacheTag("wa", traced, opt_.waMaxOps);
     return characterize(tag, vrFrac, [&](size_t point) {
         inform("WA characterization of %s at VR%.0f (%u threads)...",
                workload.c_str(), vrFrac * 100, pool_->numThreads());

@@ -192,6 +192,27 @@ InjectionCampaign::create(workloads::Workload workload,
     return c;
 }
 
+namespace {
+
+/**
+ * Simulator work counters, bumped once per golden or injected run
+ * (never per cycle): `engine` is "ooo" or "mc".
+ */
+void
+countSimWork(const char *engine, uint64_t committed, uint64_t cycles)
+{
+    obs::Registry &reg = obs::Registry::global();
+    std::string label = std::string("engine=\"") + engine + "\"";
+    reg.counter(obs::metric::kSimInstructions, label,
+                "instructions committed by cycle-level simulator runs")
+        .inc(committed);
+    reg.counter(obs::metric::kSimCycles, label,
+                "cycles simulated by cycle-level simulator runs")
+        .inc(cycles);
+}
+
+} // namespace
+
 Error
 InjectionCampaign::prepare()
 {
@@ -231,6 +252,7 @@ InjectionCampaign::prepare()
             // Timing/output reference from a golden detailed mc run.
             mc::McSim msim(workload_.program, mcCfg_);
             auto mres = msim.run(~0ULL);
+            countSimWork("mc", mres.committed, mres.cycles);
             if (mres.status != mc::McSim::Status::Halted)
                 return makeError(
                     ErrorCode::GoldenRunFailed,
@@ -261,6 +283,7 @@ InjectionCampaign::prepare()
         // ...and the timing/output reference from a golden detailed run.
         OooSim osim(workload_.program, cfg_);
         auto ores = osim.run(~0ULL);
+        countSimWork("ooo", ores.committed, ores.cycles);
         if (ores.status != OooSim::Status::Halted)
             return makeError(ErrorCode::GoldenRunFailed,
                              "workload '%s' golden OoO run did not halt",
@@ -313,6 +336,7 @@ InjectionCampaign::executeOneMc(const ErrorModel &model, Rng &rng,
     }
     mc::McSim sim(workload_.program, mcCfg_, std::move(plans));
     auto res = sim.run(2 * goldenCycles_, watchdog);
+    countSimWork("mc", res.committed, res.cycles);
 
     RunRecord rec;
     rec.logWeight = logWeight;
@@ -401,6 +425,7 @@ InjectionCampaign::executeOne(const ErrorModel &model, Rng &rng,
     auto events = model.planWeighted(profile_, rng, logWeight);
     OooSim sim(workload_.program, cfg_, sim::InjectionPlan(events));
     auto res = sim.run(2 * goldenCycles_, watchdog);
+    countSimWork("ooo", res.committed, res.cycles);
     RunRecord rec;
     rec.logWeight = logWeight;
     rec.injected = res.injectionsApplied;

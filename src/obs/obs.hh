@@ -38,6 +38,10 @@ inline constexpr const char *kInjectRetries =
 inline constexpr const char *kInjectReplays =
     "tea_inject_replays_total";
 inline constexpr const char *kInjectRunMs = "tea_inject_run_ms";
+// ---- cycle-level simulator work (label engine="ooo"|"mc") ----------
+inline constexpr const char *kSimInstructions =
+    "tea_sim_instructions_total";
+inline constexpr const char *kSimCycles = "tea_sim_cycles_total";
 // ---- multi-core injection (McSim) ----------------------------------
 inline constexpr const char *kMcOutcomes = "tea_mc_outcomes_total";
 inline constexpr const char *kMcInvalidations =

@@ -18,7 +18,8 @@ CorePipeline::CorePipeline(const isa::Program &prog, const OooConfig &cfg,
                            unsigned coreId)
     : prog_(prog), cfg_(cfg), plan_(std::move(plan)), port_(port),
       coreId_(coreId), coreMask_(1u << (coreId & 31)),
-      rob_(cfg.robSize), fetchIdx_(prog.entryIndex)
+      rob_(cfg.robSize), busy_((cfg.robSize + 63) / 64, 0),
+      fetchIdx_(prog.entryIndex)
 {
     mapInt_.fill(-1);
     mapFp_.fill(-1);
@@ -29,11 +30,13 @@ void
 CorePipeline::restart(uint64_t entryIdx, uint64_t sp)
 {
     head_ = tail_ = count_ = 0;
+    sq_.clear();
+    std::fill(busy_.begin(), busy_.end(), 0);
     iq_.clear();
     fetchBuf_.clear();
     mapInt_.fill(-1);
     mapFp_.fill(-1);
-    loadsInFlight_ = storesInFlight_ = 0;
+    loadsInFlight_ = 0;
     fetchIdx_ = entryIdx;
     fetchStopped_ = false;
     xreg_[2] = sp;
@@ -101,7 +104,7 @@ CorePipeline::rename()
         const Instruction &insn = prog_.code[pcIdx];
         if (isa::isLoad(insn.op) && loadsInFlight_ >= cfg_.maxLoads)
             return;
-        if (isa::isStore(insn.op) && storesInFlight_ >= cfg_.maxStores)
+        if (isa::isStore(insn.op) && sq_.size() >= cfg_.maxStores)
             return;
         fetchBuf_.pop_front();
 
@@ -151,7 +154,7 @@ CorePipeline::rename()
         if (e.isLoad)
             ++loadsInFlight_;
         if (e.isStore)
-            ++storesInFlight_;
+            sq_.push_back(slot);
         iq_.push_back(static_cast<int>(slot));
     }
 }
@@ -248,6 +251,7 @@ CorePipeline::issue()
         e.taint = sourceTaint(e, 0) | sourceTaint(e, 1);
         e.countdown = latencyOf(op);
         e.stage = Stage::Exec;
+        setBusy(static_cast<size_t>(*it));
 
         if (e.isLoad || e.isStore) {
             e.addr = a + static_cast<int64_t>(e.insn.imm);
@@ -342,7 +346,8 @@ CorePipeline::squashAfter(size_t slot, uint64_t redirectIdx,
         if (e.isLoad)
             --loadsInFlight_;
         if (e.isStore)
-            --storesInFlight_;
+            sq_.pop_back();
+        clearBusy(last);
         if (e.injected)
             ++injWrongPath_;
         ++squashed_;
@@ -378,6 +383,7 @@ CorePipeline::finishExec(size_t slot)
 {
     RobEntry &e = rob_[slot];
     e.stage = Stage::Done;
+    clearBusy(slot);
     ++executed_;
     applyInjection(e);
     if (e.isCtrl && !e.resolved) {
@@ -397,20 +403,20 @@ CorePipeline::finishExec(size_t slot)
     }
 }
 
-/** Disambiguate a load against older in-flight stores. */
+/**
+ * Disambiguate a load against older in-flight stores, youngest first:
+ * the first older store that is unresolved, trapped or overlapping
+ * decides; no such store means the load may access memory.
+ */
 CorePipeline::MemCheck
 CorePipeline::checkLoad(size_t slot, uint64_t &forwardValue,
                         uint32_t &forwardTaint)
 {
     const RobEntry &ld = rob_[slot];
-    // Walk older entries from youngest to oldest.
-    size_t i = slot;
-    MemCheck result = MemCheck::Ready;
-    while (i != head_) {
-        i = (i + rob_.size() - 1) % rob_.size();
-        const RobEntry &st = rob_[i];
-        if (!st.isStore)
-            continue;
+    for (auto it = sq_.rbegin(); it != sq_.rend(); ++it) {
+        const RobEntry &st = rob_[*it];
+        if (st.seq > ld.seq)
+            continue; // younger than the load
         if (st.stage != Stage::Done)
             return MemCheck::Wait; // address unknown
         if (st.trap != TrapKind::None)
@@ -426,61 +432,86 @@ CorePipeline::checkLoad(size_t slot, uint64_t &forwardValue,
         }
         return MemCheck::Wait; // partial overlap: wait for commit
     }
-    return result;
+    return MemCheck::Ready;
 }
 
+/** First busy ROB slot in [from, end), or `end` if there is none. */
+size_t
+CorePipeline::nextBusy(size_t from, size_t end) const
+{
+    while (from < end) {
+        size_t w = from >> 6;
+        uint64_t bits = busy_[w] & (~0ULL << (from & 63));
+        if (bits)
+            return std::min(end, (w << 6) + static_cast<size_t>(
+                                                 __builtin_ctzll(bits)));
+        from = (w + 1) << 6;
+    }
+    return end;
+}
+
+/** One cycle of progress for a busy (executing or loading) slot. */
+void
+CorePipeline::progress(size_t slot)
+{
+    RobEntry &e = rob_[slot];
+    switch (e.stage) {
+      case Stage::Exec:
+        if (--e.countdown == 0) {
+            if (e.isLoad && e.trap == TrapKind::None)
+                e.stage = Stage::MemPending;
+            else
+                finishExec(slot);
+        }
+        break;
+      case Stage::MemPending: {
+        uint64_t fwd = 0;
+        uint32_t fwdTaint = 0;
+        MemCheck c = checkLoad(slot, fwd, fwdTaint);
+        if (c == MemCheck::Forward) {
+            e.result = fwd;
+            e.memTaint = fwdTaint;
+            e.taint |= fwdTaint;
+            e.stage = Stage::MemAccess;
+            e.countdown = 1;
+        } else if (c == MemCheck::Ready) {
+            CorePort::LoadResult lr = port_.load(e.addr, e.size);
+            e.result = lr.value;
+            e.memTaint = lr.taint;
+            e.taint |= lr.taint;
+            e.stage = Stage::MemAccess;
+            e.countdown = lr.latency;
+        }
+        break;
+      }
+      case Stage::MemAccess:
+        if (--e.countdown == 0) {
+            if (e.insn.op == Op::LW) {
+                e.result = static_cast<uint64_t>(
+                    static_cast<int64_t>(static_cast<int32_t>(e.result)));
+            }
+            finishExec(slot);
+        }
+        break;
+      default:
+        break;
+    }
+}
+
+/**
+ * Advance every busy slot, oldest first: head_ to the end of the ring,
+ * then 0 to head_. A squash inside finishExec clears the bits of every
+ * younger slot, so the walk stops at the mispredicted instruction.
+ */
 void
 CorePipeline::writeback()
 {
-    for (size_t i = head_, n = 0; n < count_; i = robNext(i), ++n) {
-        RobEntry &e = rob_[i];
-        switch (e.stage) {
-          case Stage::Exec:
-            if (--e.countdown == 0) {
-                if (e.isLoad && e.trap == TrapKind::None) {
-                    e.stage = Stage::MemPending;
-                } else {
-                    finishExec(i);
-                    // finishExec may squash; restart conservatively.
-                    if (rob_[i].stage != Stage::Done)
-                        return;
-                }
-            }
-            break;
-          case Stage::MemPending: {
-            uint64_t fwd = 0;
-            uint32_t fwdTaint = 0;
-            MemCheck c = checkLoad(i, fwd, fwdTaint);
-            if (c == MemCheck::Forward) {
-                e.result = fwd;
-                e.memTaint = fwdTaint;
-                e.taint |= fwdTaint;
-                e.stage = Stage::MemAccess;
-                e.countdown = 1;
-            } else if (c == MemCheck::Ready) {
-                CorePort::LoadResult lr = port_.load(e.addr, e.size);
-                e.result = lr.value;
-                e.memTaint = lr.taint;
-                e.taint |= lr.taint;
-                e.stage = Stage::MemAccess;
-                e.countdown = lr.latency;
-            }
-            break;
-          }
-          case Stage::MemAccess:
-            if (--e.countdown == 0) {
-                if (e.insn.op == Op::LW) {
-                    e.result = static_cast<uint64_t>(
-                        static_cast<int64_t>(
-                            static_cast<int32_t>(e.result)));
-                }
-                finishExec(i);
-            }
-            break;
-          default:
-            break;
-        }
-    }
+    size_t n = rob_.size();
+    for (size_t i = nextBusy(head_, n); i < n; i = nextBusy(i + 1, n))
+        progress(i);
+    for (size_t i = nextBusy(0, head_); i < head_;
+         i = nextBusy(i + 1, head_))
+        progress(i);
 }
 
 // ---- commit ------------------------------------------------------------
@@ -546,7 +577,7 @@ CorePipeline::commit(TrapKind &trapOut)
         }
         if (e.isStore) {
             port_.store(e.addr, e.size, e.result, e.taint);
-            --storesInFlight_;
+            sq_.pop_front();
         }
         if (e.isLoad) {
             --loadsInFlight_;

@@ -281,6 +281,13 @@ class CorePipeline
     void finishExec(size_t slot);
     MemCheck checkLoad(size_t slot, uint64_t &forwardValue,
                        uint32_t &forwardTaint);
+    void setBusy(size_t slot) { busy_[slot >> 6] |= 1ULL << (slot & 63); }
+    void clearBusy(size_t slot)
+    {
+        busy_[slot >> 6] &= ~(1ULL << (slot & 63));
+    }
+    size_t nextBusy(size_t from, size_t end) const;
+    void progress(size_t slot);
     void writeback();
     void patchWaiters(size_t slot, uint64_t value, uint32_t taint);
     CommitOutcome commit(TrapKind &trapOut);
@@ -296,6 +303,10 @@ class CorePipeline
     std::vector<RobEntry> rob_;
     size_t head_ = 0, tail_ = 0, count_ = 0;
     uint64_t nextSeq_ = 0;
+    /** ROB slots of the in-flight stores, in program order. */
+    std::deque<size_t> sq_;
+    /** Bitset over ROB slots in Exec, MemPending or MemAccess. */
+    std::vector<uint64_t> busy_;
 
     // Rename tables: ROB slot of the latest producer, or -1.
     std::array<int, 32> mapInt_;
@@ -313,7 +324,7 @@ class CorePipeline
 
     Predictor pred_;
 
-    unsigned loadsInFlight_ = 0, storesInFlight_ = 0;
+    unsigned loadsInFlight_ = 0;
     uint64_t intDivBusyUntil_ = 0, fpDivBusyUntil_ = 0;
 
     // Injection counters.

@@ -4,10 +4,14 @@
 #include <cstdio>
 #include <filesystem>
 #include <limits>
+#include <set>
+#include <string>
 
 #include "core/energy.hh"
 #include "core/results.hh"
 #include "core/toolflow.hh"
+#include "obs/metrics.hh"
+#include "obs/obs.hh"
 #include "workloads/workloads.hh"
 
 using namespace tea;
@@ -79,6 +83,58 @@ TEST(Toolflow, TraceAndCampaignPlumbing)
     // Same objects on repeat lookups.
     EXPECT_EQ(&tf.campaign("sobel"), &campaign);
     EXPECT_EQ(&tf.trace("sobel"), &trace);
+}
+
+TEST(Toolflow, ThreadedWaStatsCachedPerCoreCount)
+{
+    // A threaded workload's FP trace depends on the core count, so two
+    // toolflows sharing a cache must not share its WA statistics.
+    namespace fs = std::filesystem;
+    const std::string dir = "/tmp/tea_test_cache_wa_cores";
+    fs::remove_all(dir);
+    auto opt = tinyOptions();
+    opt.cacheDir = dir;
+    auto waFiles = [&] {
+        std::set<std::string> names;
+        for (const auto &e : fs::directory_iterator(dir)) {
+            std::string n = e.path().filename().string();
+            if (n.starts_with("wa_") && n.ends_with(".stats"))
+                names.insert(n);
+        }
+        return names;
+    };
+    obs::Counter misses = obs::Registry::global().counter(
+        obs::metric::kCacheMisses, "",
+        "characterizations recomputed on a cold cache");
+
+    opt.mcCores = 2;
+    {
+        Toolflow tf(opt);
+        EXPECT_GT(tf.waStats("k-means-mt", 0.20).totalOps(), 0u);
+    }
+    ASSERT_EQ(waFiles().size(), 1u);
+
+    opt.mcCores = 4;
+    uint64_t before = misses.value();
+    {
+        Toolflow tf(opt);
+        EXPECT_GT(tf.waStats("k-means-mt", 0.20).totalOps(), 0u);
+    }
+    EXPECT_EQ(misses.value() - before, 1u)
+        << "the 4-core run was served the 2-core statistics";
+    EXPECT_EQ(waFiles().size(), 2u);
+
+    // Single-core workloads keep their core-count-free cache names.
+    {
+        Toolflow tf(opt);
+        tf.waStats("sobel", 0.20);
+    }
+    char sobel[96];
+    std::snprintf(sobel, sizeof(sobel), "wa_sobel_n%llu_vr20_s%llu_p3.stats",
+                  static_cast<unsigned long long>(opt.waMaxOps),
+                  static_cast<unsigned long long>(opt.seed));
+    EXPECT_TRUE(waFiles().count(sobel)) << sobel;
+    fs::remove_all(dir);
 }
 
 TEST(Energy, PowerSavingMonotone)

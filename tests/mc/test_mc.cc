@@ -28,7 +28,9 @@
 #include "mc/mc_func_sim.hh"
 #include "mc/mc_sim.hh"
 #include "models/error_models.hh"
+#include "util/crc32.hh"
 #include "util/fsatomic.hh"
+#include "util/rng.hh"
 #include "workloads/workloads.hh"
 
 using namespace tea;
@@ -391,6 +393,136 @@ TEST(McInject, PlansTargetTheirCoreOnly)
     EXPECT_EQ(r0.injectionsApplied, 1u);
     EXPECT_EQ(r0.perCoreInjected[0], 1u);
     EXPECT_EQ(r0.perCoreInjected[1], 0u);
+}
+
+// ---------------------------------------------------------------------
+// Pinned timing oracle
+// ---------------------------------------------------------------------
+
+namespace {
+
+/**
+ * One McSim run and everything it reported, in this order: status,
+ * trap, trapCore + 1 (0: no crash), cycles, committed, executed, injectionsApplied,
+ * injectionsOnWrongPath, branchMispredicts, squashedInstructions,
+ * l1Misses, l1Accesses, crossTaintedLoads, the nine CoherenceStats
+ * counters in declaration order, perCoreCommitted, perCoreInjected,
+ * and the CRC-32 of the output signature.
+ */
+struct McPinned
+{
+    const char *workload;
+    unsigned cores;
+    bool injected;
+    std::vector<uint64_t> values;
+};
+
+/**
+ * Recorded from the reference core pipeline (ROB walks for load
+ * disambiguation and writeback) before it gained the store queue and
+ * busy set: every per-cycle bookkeeping change must reproduce these
+ * bit for bit, on the golden run and on one seeded FpOp flip per core.
+ */
+// clang-format off
+const std::vector<McPinned> kMcPinned = {
+    {"k-means-mt", 2, false, {0, 0, 0, 148973, 104321, 168881, 0, 0, 8065, 132719, 1957, 31107, 0, 1789, 876, 1824, 132, 66, 0, 1, 1, 10, 52650, 51671, 0, 0, 3555591934}},
+    {"k-means-mt", 2, true, {0, 0, 0, 152042, 104166, 172923, 2, 0, 8243, 138357, 2040, 31969, 130, 1873, 877, 1908, 132, 66, 1, 1, 1, 10, 52561, 51605, 1, 1, 1592992160}},
+    {"k-means-mt", 4, false, {0, 0, 0, 156280, 105411, 173541, 0, 0, 8164, 135958, 2604, 31785, 0, 2301, 919, 2324, 273, 66, 0, 3, 1, 10, 27426, 25931, 26053, 26001, 0, 0, 0, 0, 853227689}},
+    {"k-means-mt", 4, true, {0, 0, 0, 156280, 105411, 173541, 4, 1, 8164, 135958, 2604, 31785, 193, 2301, 919, 2324, 273, 66, 2, 3, 1, 10, 27426, 25931, 26053, 26001, 1, 1, 1, 1, 853227689}},
+    {"hotspot-mt", 2, false, {0, 0, 0, 99878, 53566, 54216, 0, 0, 120, 1288, 588, 14461, 0, 301, 219, 376, 209, 139, 0, 1, 1, 8, 27845, 25721, 0, 0, 1448738286}},
+    {"hotspot-mt", 2, true, {0, 0, 0, 99878, 53566, 54216, 2, 0, 120, 1288, 588, 14461, 89, 301, 219, 376, 209, 139, 0, 1, 1, 8, 27845, 25721, 1, 1, 622125952}},
+    {"hotspot-mt", 4, false, {0, 0, 0, 111542, 53712, 55154, 0, 0, 139, 2184, 924, 14615, 0, 563, 230, 416, 494, 139, 0, 3, 1, 8, 16193, 14061, 11729, 11729, 0, 0, 0, 0, 1448738286}},
+    {"hotspot-mt", 4, true, {0, 0, 0, 111542, 53712, 55154, 4, 0, 139, 2184, 924, 14615, 78, 563, 230, 416, 494, 139, 0, 3, 1, 8, 16193, 14061, 11729, 11729, 1, 1, 1, 1, 3448818497}},
+};
+// clang-format on
+
+std::vector<uint64_t>
+mcResultValues(const McSim &sim, const McSim::Result &r,
+               const workloads::Workload &w)
+{
+    std::vector<uint64_t> v = {
+        static_cast<uint64_t>(r.status), static_cast<uint64_t>(r.trap),
+        static_cast<uint64_t>(r.trapCore + 1),
+        r.cycles, r.committed, r.executed, r.injectionsApplied,
+        r.injectionsOnWrongPath, r.branchMispredicts,
+        r.squashedInstructions, r.l1Misses, r.l1Accesses,
+        r.crossTaintedLoads, r.coh.invalidations, r.coh.c2cTransfers,
+        r.coh.upgrades, r.coh.l2Accesses, r.coh.l2Misses,
+        r.coh.overwriteMasks, r.coh.spawns, r.coh.joins,
+        r.coh.barriers};
+    v.insert(v.end(), r.perCoreCommitted.begin(),
+             r.perCoreCommitted.end());
+    v.insert(v.end(), r.perCoreInjected.begin(), r.perCoreInjected.end());
+    auto out = outputBytes(sim.memory(), w);
+    uint32_t crc = crc32(out.data(), out.size());
+    const sim::Console &con = sim.console();
+    v.push_back(crc32(con.data(), con.size() * sizeof(con[0]), crc));
+    return v;
+}
+
+std::string
+mcRow(const McPinned &p)
+{
+    std::string s = std::string("    {\"") + p.workload + "\", " +
+                    std::to_string(p.cores) + ", " +
+                    (p.injected ? "true" : "false") + ", {";
+    for (size_t i = 0; i < p.values.size(); ++i)
+        s += (i ? ", " : "") + std::to_string(p.values[i]);
+    return s + "}},";
+}
+
+} // namespace
+
+TEST(McOracle, EveryPinnedRunReproducesExactly)
+{
+    std::vector<McPinned> got;
+    for (const char *name : {"k-means-mt", "hotspot-mt"}) {
+        workloads::Workload w = workloads::buildWorkload(name, 7, 1);
+        for (unsigned cores : {2u, 4u}) {
+            McFuncSim::Config fcfg;
+            fcfg.cores = cores;
+            McFuncSim fsim(w.program, fcfg);
+            ASSERT_EQ(fsim.run().status, McFuncSim::Status::Halted);
+            McConfig cfg;
+            cfg.cores = cores;
+            uint64_t goldenCycles = 0;
+            for (bool injected : {false, true}) {
+                // One single-bit flip per core on a seeded FADD_D
+                // instance of that core's own stream.
+                std::vector<sim::InjectionPlan> plans(cores);
+                Rng rng(0x5eed0000ULL + cores);
+                for (unsigned k = 0; injected && k < cores; ++k) {
+                    uint64_t n = fsim.opCount(k, isa::Op::FADD_D);
+                    ASSERT_GT(n, 0u) << name << " core " << k;
+                    sim::InjectionEvent e;
+                    e.kind = sim::InjectionEvent::Kind::FpOp;
+                    e.op = isa::fpuOpFor(isa::Op::FADD_D);
+                    e.index = rng.nextBounded(n);
+                    e.mask = 1ULL << rng.nextBounded(64);
+                    e.core = k;
+                    plans[k] = sim::InjectionPlan({e});
+                }
+                McSim sim(w.program, cfg, plans);
+                // A fixed bound on the golden run, so a deadlocked
+                // pipeline fails here instead of hanging.
+                auto r = sim.run(injected ? 2 * goldenCycles : 10'000'000);
+                if (!injected)
+                    goldenCycles = r.cycles;
+                got.push_back(McPinned{name, cores, injected,
+                                       mcResultValues(sim, r, w)});
+            }
+        }
+    }
+    if (got.size() != kMcPinned.size()) {
+        std::string table;
+        for (const McPinned &p : got)
+            table += mcRow(p) + "\n";
+        FAIL() << "the case list changed; re-record the table:\n"
+               << table;
+    }
+    // A row prints every field, so equal rows mean equal runs.
+    for (size_t i = 0; i < got.size(); ++i)
+        EXPECT_EQ(mcRow(got[i]), mcRow(kMcPinned[i]));
 }
 
 // ---------------------------------------------------------------------

@@ -104,6 +104,38 @@ TEST(Metrics, HistogramBucketsAndSumUnderThreadPool)
     EXPECT_NEAR(h.sum(), 250 * (0.5 + 5.0 + 50.0 + 500.0), 1.0);
 }
 
+TEST(Metrics, SimWorkCountersCountEveryCycleLevelRun)
+{
+    Registry &reg = Registry::global();
+    auto counters = [&](const char *engine) {
+        std::string label = std::string("engine=\"") + engine + "\"";
+        return std::make_pair(reg.counter(metric::kSimInstructions, label),
+                              reg.counter(metric::kSimCycles, label));
+    };
+    auto [oooInstr, oooCycles] = counters("ooo");
+    auto [mcInstr, mcCycles] = counters("mc");
+
+    // Golden preparation counts its one detailed run...
+    uint64_t i0 = oooInstr.value(), c0 = oooCycles.value();
+    inject::InjectionCampaign campaign(
+        workloads::buildWorkload("sobel", 1));
+    EXPECT_EQ(oooCycles.value() - c0, campaign.goldenCycles());
+    EXPECT_GT(oooInstr.value() - i0, 0u);
+
+    // ...and every injected run adds its committed instructions.
+    uint64_t i1 = oooInstr.value();
+    Rng rng(42);
+    auto res = campaign.run(models::DaModel(5e-3), 4, rng, nullptr);
+    EXPECT_EQ(oooInstr.value() - i1, res.committedInstructions);
+
+    uint64_t m0 = mcCycles.value(), mi0 = mcInstr.value();
+    mc::McConfig mcCfg;
+    inject::InjectionCampaign mt(workloads::buildWorkload("hotspot-mt", 1),
+                                 sim::OooConfig{}, mcCfg);
+    EXPECT_EQ(mcCycles.value() - m0, mt.goldenCycles());
+    EXPECT_GT(mcInstr.value() - mi0, 0u);
+}
+
 TEST(Metrics, SnapshotIsWellFormedJson)
 {
     Registry &reg = Registry::global();
