@@ -1,11 +1,11 @@
 /**
  * Ablation (ours) — the full DTA engine ladder: exact event-driven
- * vs. fast levelized vs. 64-lane interpreted vs. compiled SIMD-wide
- * batches. Agreement on settled values (must be total), on error
- * detection, on dynamic arrival estimates, and the speedups that
- * justify each rung for campaign-scale model development. The two
- * batched engines must match the levelized oracle bit-for-bit per op
- * — their rows ablate pure execution strategy, not semantics. Run on
+ * vs. fast levelized vs. compiled SIMD-wide batches. Agreement on
+ * settled values (must be total), on error detection, on dynamic
+ * arrival estimates, and the speedups that justify each rung for
+ * campaign-scale model development. The batched engine must match the
+ * levelized oracle bit-for-bit per op — its row ablates pure
+ * execution strategy, not semantics. Run on
  * the DP add/sub unit (the glitchiest datapath: a 57-bit ripple carry
  * chain) at a deep voltage reduction; the DP multiply array is too
  * glitchy for exact transport-delay simulation at scale, which is
@@ -63,17 +63,13 @@ main(int argc, char **argv)
         fastRes.push_back(fastCore.execute(pf, FpuOp::AddD, a, b));
     auto t2 = std::chrono::steady_clock::now();
 
-    // Batched engines: the same op stream through executeBatch
-    // blocks, which reproduce sequential pipeline history exactly.
-    // One shared core (built and warmed outside the timed regions,
-    // so program compilation does not distort the throughput rows)
-    // with a fresh operating point per engine.
+    // Batched engine: the same op stream through executeBatch blocks,
+    // which reproduce sequential pipeline history exactly. Built and
+    // warmed outside the timed region, so program compilation does
+    // not distort the throughput row.
     FpuCore batchCore;
-    size_t pl = batchCore.addOperatingPoint(scale);
     size_t pc = batchCore.addOperatingPoint(scale);
-    auto runBatched = [&](circuit::DtaBackend backend, size_t pt,
-                          unsigned lanes) {
-        circuit::setDtaBackend(backend);
+    auto runBatched = [&](size_t pt, unsigned lanes) {
         batchCore.reset(pt); // sequential-from-scratch every run
         std::vector<FpuCore::Exec> res(N);
         std::vector<FpuOp> opv(lanes, FpuOp::AddD);
@@ -89,19 +85,15 @@ main(int argc, char **argv)
                                    bv.data(), n, res.data() + i);
             i += n;
         }
-        circuit::resetDtaBackend();
         return res;
     };
     // Untimed warmup compiles the programs and sizes scratch.
-    runBatched(circuit::DtaBackend::Compiled, pc, 512);
-    runBatched(circuit::DtaBackend::Lane, pl, 64);
-    auto t2b = std::chrono::steady_clock::now();
-    auto laneRes = runBatched(circuit::DtaBackend::Lane, pl, 64);
+    runBatched(pc, circuit::CompiledDta::kMaxLanes);
     auto t3 = std::chrono::steady_clock::now();
-    auto compRes = runBatched(circuit::DtaBackend::Compiled, pc, 512);
+    auto compRes = runBatched(pc, circuit::CompiledDta::kMaxLanes);
     auto t4 = std::chrono::steady_clock::now();
 
-    int laneMismatch = 0, compMismatch = 0;
+    int compMismatch = 0;
     for (int i = 0; i < N; ++i) {
         const auto &re = exactRes[i];
         const auto &rl = fastRes[i];
@@ -112,57 +104,47 @@ main(int argc, char **argv)
         bothErr += re.timingError && rl.timingError;
         if (re.maxArrivalPs > 1.0)
             arrRatio.sample(rl.maxArrivalPs / re.maxArrivalPs);
-        // The batched engines must be bit-for-bit the levelized
-        // oracle per op (arrivals excluded: their cone-only estimate
-        // is exact for faulty ops but a lower bound otherwise).
-        auto same = [&](const FpuCore::Exec &x) {
-            return x.golden == rl.golden && x.faulty == rl.faulty &&
-                   x.errorMask == rl.errorMask &&
-                   x.goldenFlags == rl.goldenFlags &&
-                   x.faultyFlags == rl.faultyFlags &&
-                   x.timingError == rl.timingError;
-        };
-        laneMismatch += !same(laneRes[i]);
-        compMismatch += !same(compRes[i]);
+        // The batched engine must be bit-for-bit the levelized
+        // oracle per op (arrivals excluded: its cone-only estimate is
+        // exact for faulty ops but a lower bound otherwise).
+        const auto &x = compRes[i];
+        compMismatch += !(x.golden == rl.golden && x.faulty == rl.faulty &&
+                          x.errorMask == rl.errorMask &&
+                          x.goldenFlags == rl.goldenFlags &&
+                          x.faultyFlags == rl.faultyFlags &&
+                          x.timingError == rl.timingError);
     }
 
     double exactMs =
         std::chrono::duration<double, std::milli>(t1 - t0).count();
     double fastMs =
         std::chrono::duration<double, std::milli>(t2 - t1).count();
-    double laneMs =
-        std::chrono::duration<double, std::milli>(t3 - t2b).count();
     double compMs =
         std::chrono::duration<double, std::milli>(t4 - t3).count();
 
     Table t({"metric", "exact (event-driven)", "levelized",
-             "lane (64)", "compiled (512)"});
+             "compiled (512)"});
     t.addRow({"ops", std::to_string(N), std::to_string(N),
-              std::to_string(N), std::to_string(N)});
+              std::to_string(N)});
     t.addRow({"settled-value mismatches", "0 (reference)",
-              std::to_string(settledMismatch), "-", "-"});
+              std::to_string(settledMismatch), "-"});
     t.addRow({"per-op mismatches vs levelized", "-", "0 (oracle)",
-              std::to_string(laneMismatch),
               std::to_string(compMismatch)});
     t.addRow({"ops with timing errors", std::to_string(exactErr),
-              std::to_string(fastErr), std::to_string(fastErr),
-              std::to_string(fastErr)});
+              std::to_string(fastErr), std::to_string(fastErr)});
     t.addRow({"errors found by both", std::to_string(bothErr), "-",
-              "-", "-"});
+              "-"});
     t.addRow({"time (ms)", Table::num(exactMs, 1),
-              Table::num(fastMs, 1), Table::num(laneMs, 1),
-              Table::num(compMs, 1)});
+              Table::num(fastMs, 1), Table::num(compMs, 1)});
     t.addRow({"throughput (ops/s)", Table::num(N / exactMs * 1000, 0),
               Table::num(N / fastMs * 1000, 0),
-              Table::num(N / laneMs * 1000, 0),
               Table::num(N / compMs * 1000, 0)});
     std::printf("%s\n", t.render().c_str());
 
     std::printf("levelized/exact arrival ratio: mean %.2f (sd %.2f)\n",
                 arrRatio.mean(), arrRatio.stddev());
-    std::printf("speedups vs exact: levelized %.1fx, lane %.1fx, "
-                "compiled %.1fx\n\n",
-                exactMs / fastMs, exactMs / laneMs, exactMs / compMs);
+    std::printf("speedups vs exact: levelized %.1fx, compiled %.1fx\n\n",
+                exactMs / fastMs, exactMs / compMs);
     std::printf(
         "Interpretation: the two engines agree bit-exactly on settled\n"
         "values (the hard correctness bar). Their error sets differ in\n"
@@ -173,12 +155,8 @@ main(int argc, char **argv)
         "heavy datapaths). The speedup is what makes 100k-op WA-model\n"
         "characterizations tractable — the paper's equivalent trade-off\n"
         "is full ModelSim gate simulation vs statistical sampling.\n"
-        "The lane and compiled rows change only the execution\n"
-        "strategy — 64-lane SWAR interpretation and compiled SIMD-wide\n"
-        "plane programs — so they must (and do) reproduce the\n"
-        "levelized results bit-for-bit.\n");
-    return settledMismatch == 0 && laneMismatch == 0 &&
-                   compMismatch == 0
-               ? 0
-               : 1;
+        "The compiled row changes only the execution strategy —\n"
+        "compiled SIMD-wide plane programs — so it must (and does)\n"
+        "reproduce the levelized results bit-for-bit.\n");
+    return settledMismatch == 0 && compMismatch == 0 ? 0 : 1;
 }

@@ -10,19 +10,12 @@
  * speedup over the first (baseline) entry. Campaign results are
  * bit-identical across the sweep; the sweep asserts that too.
  *
- * `microbench --lane-sweep` sweeps the batched DTA lane width (1, 8,
- * 16, 32, 64 — extended to 128/256/512 when REPRO_DTA_BACKEND selects
- * a SIMD-wide backend) at each REPRO_THREADS count, printing
- * samples/s and the speedup over the scalar (lanes=1) row at the same
- * thread count, and asserting that the campaign statistics are
- * bit-identical across the whole sweep.
- *
- * `microbench --backend-sweep` races the three batched-DTA backends
- * (levelized / lane / compiled, the latter at 64, 256 and 512 lanes)
- * through the same random campaign at each REPRO_THREADS count,
- * asserting byte-identical per-instruction CSVs across every cell and
- * >= 5x single-thread compiled throughput over the 64-lane
- * interpreter.
+ * `microbench --backend-sweep` races the scalar levelized oracle
+ * (one op per call) against the compiled batched engine at 64, 256
+ * and 512 lanes, then runs the same random campaign through every
+ * cell at each REPRO_THREADS count, asserting byte-identical
+ * per-instruction CSVs across every cell and >= 56x single-thread
+ * compiled throughput over the scalar oracle.
  *
  * `microbench --adaptive-sweep` compares fixed-N against adaptive
  * (confidence-driven) campaign sizing at the same target half-width:
@@ -363,110 +356,17 @@ runThreadSweep()
     return 0;
 }
 
-/**
- * Lane sweep of the bit-parallel DTA engine: the random campaign at
- * every (thread count, lane width) pair, with the lanes=1 row at each
- * thread count as the speedup baseline. The rendered fig7-style CSV
- * must be byte-identical across the whole sweep.
- */
-int
-runLaneSweep()
-{
-    auto counts = sweepThreadCounts();
-    unsigned maxThreads = 1;
-    for (unsigned c : counts)
-        maxThreads = std::max(maxThreads, c);
-
-    // A full shard per op type so even the widest batches form.
-    const uint64_t dtaOpsPerType = [] {
-        const char *runs = std::getenv("REPRO_RUNS");
-        long n = runs ? std::strtol(runs, nullptr, 10) : 0;
-        return n > 0 ? static_cast<uint64_t>(n)
-                     : timing::kDtaShardOps;
-    }();
-    std::vector<unsigned> laneWidths = {1, 8, 16, 32, 64};
-    if (circuit::dtaBackend() != circuit::DtaBackend::Lane)
-        laneWidths.insert(laneWidths.end(), {128, 256, 512});
-
-    std::printf("bit-parallel DTA lane sweep\n");
-    std::printf("(REPRO_DTA_LANES routes campaigns through the lane "
-                "engine; this sweep\n overrides it per cell. "
-                "REPRO_THREADS=<a,b,c,...> selects thread counts.)\n\n");
-
-    std::printf("building gate-level FPU...\n");
-    fpu::FpuCore core;
-    size_t point = core.addOperatingPoint(
-        circuit::VoltageModel{}.delayFactorAtReduction(circuit::kVR20));
-    core.workerPoints(point, maxThreads); // pre-build replica points
-
-    const uint64_t dtaOps = dtaOpsPerType * fpu::kNumFpuOps;
-    Table table({"threads", "lanes", "samples/s", "s", "speedup"});
-    std::string refCsv;
-    double singleThreadSpeedup = 0;
-    for (unsigned threads : counts) {
-        double base = 0;
-        for (unsigned lanes : laneWidths) {
-            timing::setDtaLanes(lanes);
-            ThreadPool pool(threads);
-            auto t0 = std::chrono::steady_clock::now();
-            Rng rng(1);
-            auto stats = timing::runRandomCampaign(
-                core, point, dtaOpsPerType, rng, &pool);
-            double sec = secondsSince(t0);
-
-            // The exactness guarantee: every cell of the sweep must
-            // produce byte-identical per-instruction statistics.
-            std::string csv = timing::berCsv(stats);
-            if (refCsv.empty()) {
-                refCsv = csv;
-            } else if (csv != refCsv) {
-                timing::setDtaLanes(0);
-                std::printf("FAIL: stats differ at threads=%u "
-                            "lanes=%u\n",
-                            threads, lanes);
-                return 1;
-            }
-
-            if (lanes == 1)
-                base = sec;
-            double speedup = sec > 0 ? base / sec : 0;
-            if (threads == 1)
-                singleThreadSpeedup =
-                    std::max(singleThreadSpeedup, speedup);
-            table.addRow({std::to_string(threads),
-                          std::to_string(lanes),
-                          Table::num(sec > 0 ? dtaOps / sec : 0, 0),
-                          Table::num(sec, 2), Table::num(speedup, 2)});
-        }
-    }
-    timing::setDtaLanes(0); // back to the REPRO_DTA_LANES default
-    std::printf("\n%s\n", table.render("lane-batch throughput").c_str());
-    std::printf("cell: %llu random ops (%llu/type) at VR20; speedup "
-                "is vs lanes=1\nat the same thread count; stats "
-                "verified bit-identical across the sweep\n",
-                static_cast<unsigned long long>(dtaOps),
-                static_cast<unsigned long long>(dtaOpsPerType));
-    if (counts.front() == 1 && singleThreadSpeedup < 5.0) {
-        std::printf("FAIL: single-thread lane speedup %.2fx below the "
-                    "5x target\n",
-                    singleThreadSpeedup);
-        return 1;
-    }
-    return 0;
-}
-
 struct BackendCell
 {
-    circuit::DtaBackend backend;
-    unsigned lanes;
+    const char *backend;
+    unsigned lanes; ///< 1 runs the scalar LevelizedDta path
 };
 
 constexpr BackendCell kBackendCells[] = {
-    {circuit::DtaBackend::Levelized, 64},
-    {circuit::DtaBackend::Lane, 64},
-    {circuit::DtaBackend::Compiled, 64},
-    {circuit::DtaBackend::Compiled, 256},
-    {circuit::DtaBackend::Compiled, 512},
+    {"levelized", 1},
+    {"compiled", 64},
+    {"compiled", 256},
+    {"compiled", 512},
 };
 
 /**
@@ -480,8 +380,6 @@ double
 measureUnitThroughput(fpu::FpuCore &core, size_t point,
                       const BackendCell &cell)
 {
-    circuit::setDtaBackend(cell.backend);
-    timing::setDtaLanes(cell.lanes);
     fpu::FpuUnit &u = core.unit(fpu::FpuUnitKind::MulD);
     const unsigned W = circuit::CompiledDta::wordsFor(cell.lanes);
 
@@ -522,12 +420,13 @@ measureUnitThroughput(fpu::FpuCore &core, size_t point,
 
 /**
  * Backend sweep, two phases. Phase 1 measures sustained single-thread
- * DTA throughput per backend cell — levelized (the scalar oracle),
- * the 64-lane SWAR interpreter, and the compiled engine at 64/256/512
- * lanes — with the interpreter as the speedup baseline; the best
- * compiled cell must beat it by >= 5x. Phase 2 runs the random
- * campaign through every (cell, REPRO_THREADS count) pair and asserts
- * every one renders a byte-identical fig7-style CSV.
+ * DTA throughput per cell — levelized (the scalar oracle) and the
+ * compiled engine at 64/256/512 lanes — with the oracle as the
+ * speedup baseline; the best compiled cell must beat it by >= 56x:
+ * 5x the retired 64-lane interpreter, which BENCH_dta.json records at
+ * 11.25x the oracle. Phase 2 runs the random campaign through
+ * every (cell, REPRO_THREADS count) pair and asserts every one
+ * renders a byte-identical fig7-style CSV.
  */
 int
 runBackendSweep()
@@ -539,9 +438,8 @@ runBackendSweep()
 
     std::printf("batched-DTA backend sweep (SIMD: %s)\n",
                 simd::isaName(simd::activeIsa()));
-    std::printf("(REPRO_DTA_BACKEND routes campaigns; this sweep "
-                "overrides it per cell.\n REPRO_THREADS=<a,b,c,...> "
-                "selects the identity check's thread counts.)\n\n");
+    std::printf("(REPRO_THREADS=<a,b,c,...> selects the identity "
+                "check's thread counts.)\n\n");
 
     std::printf("building gate-level FPU...\n");
     fpu::FpuCore core;
@@ -553,32 +451,28 @@ runBackendSweep()
     Table table({"backend", "lanes", "samples/s", "speedup"});
     obs::json::Array rows;
     double rates[std::size(kBackendCells)];
-    double laneBase = 0, bestCompiled = 0;
-    for (size_t i = 0; i < std::size(kBackendCells); ++i) {
+    for (size_t i = 0; i < std::size(kBackendCells); ++i)
         rates[i] = measureUnitThroughput(core, point, kBackendCells[i]);
-        if (kBackendCells[i].backend == circuit::DtaBackend::Lane)
-            laneBase = rates[i];
-    }
+    const double scalarBase = rates[0];
+    double bestCompiled = 0;
     for (size_t i = 0; i < std::size(kBackendCells); ++i) {
         const BackendCell &cell = kBackendCells[i];
-        double speedup = laneBase > 0 ? rates[i] / laneBase : 0;
-        if (cell.backend == circuit::DtaBackend::Compiled)
+        double speedup = scalarBase > 0 ? rates[i] / scalarBase : 0;
+        if (cell.lanes > 1)
             bestCompiled = std::max(bestCompiled, speedup);
-        table.addRow({circuit::dtaBackendName(cell.backend),
-                      std::to_string(cell.lanes),
+        table.addRow({cell.backend, std::to_string(cell.lanes),
                       Table::num(rates[i], 0), Table::num(speedup, 2)});
         rows.push_back(obs::json::Object{
-            {"backend", circuit::dtaBackendName(cell.backend)},
+            {"backend", cell.backend},
             {"lanes", static_cast<int64_t>(cell.lanes)},
             {"samplesPerSec", rates[i]},
-            {"speedupVsLane64", speedup},
+            {"speedupVsLevelized", speedup},
         });
     }
     std::printf("\n%s\n",
                 table.render("DTA throughput (mul.d, 1 thread)")
                     .c_str());
-    std::printf("speedup is vs the 64-lane interpreter at the same "
-                "thread count\n\n");
+    std::printf("speedup is vs the scalar levelized oracle\n\n");
 
     // ---- phase 2: campaign identity across cells and threads -------
     // One full shard per op type so even 512-lane batches form.
@@ -587,7 +481,6 @@ runBackendSweep()
     unsigned checked = 0;
     for (unsigned threads : counts) {
         for (const BackendCell &cell : kBackendCells) {
-            circuit::setDtaBackend(cell.backend);
             timing::setDtaLanes(cell.lanes);
             ThreadPool pool(threads);
             Rng rng(1);
@@ -598,20 +491,16 @@ runBackendSweep()
             if (refCsv.empty()) {
                 refCsv = csv;
             } else if (csv != refCsv) {
-                circuit::resetDtaBackend();
                 timing::setDtaLanes(0);
                 std::printf("FAIL: stats differ at threads=%u "
                             "backend=%s lanes=%u\n",
-                            threads,
-                            circuit::dtaBackendName(cell.backend),
-                            cell.lanes);
+                            threads, cell.backend, cell.lanes);
                 return 1;
             }
             ++checked;
         }
     }
-    circuit::resetDtaBackend(); // back to the REPRO_DTA_BACKEND default
-    timing::setDtaLanes(0);     // back to the REPRO_DTA_LANES default
+    timing::setDtaLanes(0); // back to the default width
     std::printf("campaign identity: %u (backend, lanes, threads) "
                 "cells x %llu ops/type,\nall CSVs byte-identical\n",
                 checked,
@@ -622,14 +511,14 @@ runBackendSweep()
         obs::json::Object{
             {"simd", simd::isaName(simd::activeIsa())},
             {"unit", "mul.d"},
-            {"bestCompiledSpeedupVsLane64", bestCompiled},
+            {"bestCompiledSpeedupVsLevelized", bestCompiled},
             {"identityCellsChecked", static_cast<int64_t>(checked)},
             {"csvIdentical", true},
             {"rows", std::move(rows)},
         });
-    if (bestCompiled < 5.0) {
+    if (bestCompiled < 56.0) {
         std::printf("FAIL: single-thread compiled speedup %.2fx below "
-                    "the 5x target\n",
+                    "the 56x target\n",
                     bestCompiled);
         return 1;
     }
@@ -907,8 +796,6 @@ main(int argc, char **argv)
         int r = -1;
         if (std::strcmp(argv[i], "--thread-sweep") == 0)
             r = runThreadSweep();
-        else if (std::strcmp(argv[i], "--lane-sweep") == 0)
-            r = runLaneSweep();
         else if (std::strcmp(argv[i], "--backend-sweep") == 0)
             r = runBackendSweep();
         else if (std::strcmp(argv[i], "--adaptive-sweep") == 0)

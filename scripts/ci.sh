@@ -79,9 +79,11 @@ if ! (cd "$root/build-san" && \
     exit 1
 fi
 # Batched-DTA identity gate, likewise named: WA/DA characterization
-# replays every trace through the batched kernels, so the
-# backend x lanes x threads identity of DESIGN.md §9/§11 runs under the
-# sanitizer build and under the portable SIMD kernels.
+# replays every trace through the compiled batched engine, so the
+# lanes x threads identity of DESIGN.md §9/§11 (one lane, the scalar
+# oracle, as reference), the per-stage row-reuse checks and the pinned
+# characterization CRCs run under the sanitizer build and under the
+# portable SIMD kernels.
 echo "=== ci: batched-DTA identity gate (ctest -L tier1dta) ==="
 if ! (cd "$root/build-san" && \
       ASAN_OPTIONS="detect_leaks=0" ctest -L tier1dta --output-on-failure) \

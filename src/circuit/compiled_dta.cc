@@ -1,98 +1,11 @@
 #include "circuit/compiled_dta.hh"
 
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
+#include <algorithm>
 
 #include "util/logging.hh"
 #include "util/simd.hh"
 
 namespace tea::circuit {
-
-// ------------------------------------------------------------- backend knob
-
-bool
-parseDtaBackend(const char *s, DtaBackend &out)
-{
-    if (!s)
-        return false;
-    if (std::strcmp(s, "levelized") == 0) {
-        out = DtaBackend::Levelized;
-        return true;
-    }
-    if (std::strcmp(s, "lane") == 0) {
-        out = DtaBackend::Lane;
-        return true;
-    }
-    if (std::strcmp(s, "compiled") == 0) {
-        out = DtaBackend::Compiled;
-        return true;
-    }
-    return false;
-}
-
-const char *
-dtaBackendName(DtaBackend backend)
-{
-    switch (backend) {
-      case DtaBackend::Levelized:
-        return "levelized";
-      case DtaBackend::Lane:
-        return "lane";
-      case DtaBackend::Compiled:
-        return "compiled";
-    }
-    return "unknown";
-}
-
-namespace {
-
-/** Cached backend choice; -1 = not yet resolved from the env. */
-std::atomic<int> gBackend{-1};
-
-DtaBackend
-backendFromEnv()
-{
-    const char *env = std::getenv("REPRO_DTA_BACKEND");
-    if (!env || !*env)
-        return DtaBackend::Lane;
-    DtaBackend b;
-    if (!parseDtaBackend(env, b)) {
-        warn("REPRO_DTA_BACKEND='%s' invalid (want "
-             "levelized|lane|compiled); using lane",
-             env);
-        return DtaBackend::Lane;
-    }
-    return b;
-}
-
-} // namespace
-
-DtaBackend
-dtaBackend()
-{
-    int v = gBackend.load(std::memory_order_relaxed);
-    if (v < 0) {
-        v = static_cast<int>(backendFromEnv());
-        gBackend.store(v, std::memory_order_relaxed);
-    }
-    return static_cast<DtaBackend>(v);
-}
-
-void
-setDtaBackend(DtaBackend backend)
-{
-    gBackend.store(static_cast<int>(backend),
-                   std::memory_order_relaxed);
-}
-
-void
-resetDtaBackend()
-{
-    gBackend.store(-1, std::memory_order_relaxed);
-}
-
-// ----------------------------------------------------------------- engine
 
 namespace {
 
@@ -139,8 +52,11 @@ CompiledDta::prepare(double captureTimePs)
         return false;
     prog_ = compileDtaProgram(nl_, annot_, delayScale_, captureTimePs);
     compiledFor_ = captureTimePs;
-    // The arrival arena depends on the program; force a re-size (and
-    // a re-fill of the shared clk-to-Q row) on the next batch.
+    // Timing nodes never write row 0, so the shared clk-to-Q row of
+    // the primary inputs is filled once per program.
+    arrivals_.assign(size_t{prog_.numArrivalRows} * 64, 0.0);
+    std::fill_n(arrivals_.begin(), 64, prog_.clkToQPs);
+    // Slot and toggle arenas depend on the program too.
     scratchW_ = 0;
     return true;
 }
@@ -165,14 +81,6 @@ CompiledDta::runBatch(const std::vector<uint64_t> &prev,
     if (scratchW_ != W) {
         slots_.assign(size_t{prog_.numSlots} * 3 * W, 0);
         toggles_.assign(size_t{prog_.numToggleRows} * W, 0);
-        // Word-major arena: one numArrivalRows x 64 slice per plane
-        // word, so the timing pass stays cache-blocked per word.
-        arrivals_.assign(size_t{prog_.numArrivalRows} * 64 * W, 0.0);
-        const size_t wordArena = size_t{prog_.numArrivalRows} * 64;
-        for (unsigned w = 0; w < W; ++w)
-            for (unsigned l = 0; l < 64; ++l)
-                arrivals_[w * wordArena + l] =
-                    prog_.clkToQPs; // shared input row
         dirty_.resize(prog_.tnodes.size());
         laneMask_.resize(W);
         batch_.W = W;

@@ -1,17 +1,21 @@
 /**
  * @file
- * Compiled-netlist DTA engine: executes the specialized program
- * produced by compileDtaProgram (see dta_program.hh) over SIMD-wide
- * lane planes — up to 512 samples per batch, 64 per plane word.
+ * Compiled-netlist DTA engine, the one batched DTA engine: executes
+ * the specialized program produced by compileDtaProgram (see
+ * dta_program.hh) over SIMD-wide lane planes — up to 512 samples per
+ * batch, 64 per plane word.
  *
  * Relationship to the other engines:
  *  - LevelizedDta is the scalar oracle: one sample per run() call.
- *  - LaneDta interprets the netlist 64 lanes at a time.
- *  - CompiledDta runs the same recurrences from a pre-lowered
+ *  - EventDrivenDta is the exact hazard-aware reference.
+ *  - CompiledDta runs LevelizedDta's recurrences from a pre-lowered
  *    straight-line program (constants folded, copies propagated, dead
- *    cells dropped, timing fanins pre-filtered) on planes of 1..8
- *    words, dispatched to portable / AVX2 / AVX-512 kernels at
- *    runtime (util/simd.hh). Results are bit-identical to LevelizedDta
+ *    cells dropped, timing fanins pre-filtered, arrival rows reused by
+ *    live range) on planes of 1..8 words, dispatched to portable /
+ *    AVX2 / AVX-512 kernels at runtime (util/simd.hh). The old and new
+ *    value planes of the whole batch are evaluated with bitwise ops;
+ *    the arrival/capture pass then visits only set toggle bits of
+ *    capture-risky cells. Results are bit-identical to LevelizedDta
  *    per lane at every width and every ISA level.
  *
  * Like the other engines an instance is bound to one netlist,
@@ -31,28 +35,6 @@
 namespace tea::circuit {
 
 /**
- * Which engine executes batched DTA samples. Process-wide knob (like
- * timing::dtaLanes), resolved lazily from REPRO_DTA_BACKEND; the
- * default keeps the pre-existing LaneDta path byte-for-byte.
- */
-enum class DtaBackend : int
-{
-    Levelized = 0, ///< scalar LevelizedDta loop (the oracle)
-    Lane = 1,      ///< 64-lane SWAR interpreter (default)
-    Compiled = 2,  ///< compiled program, SIMD-wide planes
-};
-
-/** Parse a backend name; returns false (out untouched) on junk. */
-bool parseDtaBackend(const char *s, DtaBackend &out);
-const char *dtaBackendName(DtaBackend backend);
-
-/** Active backend (lazily REPRO_DTA_BACKEND, default Lane). */
-DtaBackend dtaBackend();
-void setDtaBackend(DtaBackend backend);
-/** Drop the cached choice; next dtaBackend() re-reads the env. */
-void resetDtaBackend();
-
-/**
  * Result of one wide batch: `W` 64-bit words per flat output bit,
  * word-major per output (lane l lives in word l/64, bit l%64). Bits at
  * lane positions >= the batch's lane count are unspecified.
@@ -65,9 +47,9 @@ struct WideBatch
     std::vector<uint64_t> golden;   ///< numOuts x W (zero-delay eval)
     /**
      * Worst dynamic arrival per lane (64 * W entries), over the
-     * capture-risky cone: exact whenever it exceeds the capture time
-     * (every faulty lane), else a lower bound — same contract as
-     * LaneBatch::maxArrivalPs.
+     * capture-risky cone only: bit-identical to the scalar engine's
+     * maxArrivalPs whenever it exceeds the capture time (every faulty
+     * lane), otherwise a lower bound that may be 0.
      */
     std::vector<double> maxArrivalPs;
 };
@@ -117,10 +99,11 @@ class CompiledDta
     double delayScale_;
     double compiledFor_ = -1.0; ///< capture time of prog_, <0 = none
     DtaProgram prog_;
+    /** One 64-lane arrival slice, sized by prepare(). */
+    std::vector<double> arrivals_;
     // Scratch reused across calls (sized on first use per width).
     unsigned scratchW_ = 0;
     std::vector<uint64_t> slots_, toggles_, laneMask_;
-    std::vector<double> arrivals_;
     std::vector<uint32_t> dirty_;
     WideBatch batch_;
 };

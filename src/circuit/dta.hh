@@ -8,19 +8,20 @@
  * capture time? Bits still in flight latch stale values — exactly the
  * paper's XOR-against-golden timing-error bitmask.
  *
- * Two engines share one interface:
+ * Two scalar engines share one interface:
  *  - EventDrivenDta: exact transport-delay event simulation; models
  *    glitch trains and per-bit waveforms. The reference engine.
  *  - LevelizedDta: one topological pass computing (old value, new value,
  *    last-arrival estimate) per net; ~1-2 orders of magnitude faster and
- *    hazard-blind. Campaign-scale model building uses this engine; the
- *    ablation bench quantifies its disagreement with the exact one.
+ *    hazard-blind. Campaign-scale model building uses this recurrence,
+ *    batched up to 512 samples at a time by CompiledDta
+ *    (compiled_dta.hh); the ablation bench quantifies its disagreement
+ *    with the exact engine.
  */
 
 #ifndef TEA_CIRCUIT_DTA_HH
 #define TEA_CIRCUIT_DTA_HH
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -117,116 +118,6 @@ class LevelizedDta : public DtaEngine
     // event-driven engine.
     std::vector<uint8_t> oldVal_, newVal_;
     std::vector<double> arrival_;
-};
-
-/**
- * Result of one lane batch: per flat output bit, one 64-bit plane whose
- * bit l is lane l's value. Bits at positions >= the batch's lane count
- * are unspecified and must be ignored.
- */
-struct LaneBatch
-{
-    std::vector<uint64_t> settled;  ///< plane per flat output bit
-    std::vector<uint64_t> captured; ///< plane per flat output bit
-    /**
-     * Worst dynamic arrival per lane, computed over the capture-risky
-     * cone only: bit-identical to the scalar engine's maxArrivalPs
-     * whenever it exceeds the batch's capture time (i.e. for every
-     * faulty lane), otherwise a lower bound that may be 0.
-     */
-    std::array<double, 64> maxArrivalPs{};
-};
-
-/**
- * Bit-parallel (SWAR) levelized DTA: up to 64 independent samples are
- * packed into one uint64_t lane word per net, so the old/new value
- * planes of the whole batch are evaluated with bitwise ops in a single
- * structure-of-arrays sweep over the topologically ordered netlist.
- * The arrival/capture timing pass then visits only the set toggle
- * bits of each cell, restricted to the *capture-risky cone*: cells
- * lying on some static path longer than the capture time. A
- * dynamically late chain is itself an over-long static path, so every
- * cell of it is in the cone — restricting the recurrence to the cone
- * (and pruning toggles whose arrival plus remaining static path can
- * no longer beat the capture edge) changes no capture decision while
- * skipping the dominant share of toggles that could never be late.
- *
- * Exactness: per lane this computes the same recurrence as
- * LevelizedDta::run over the same pre-scaled double delays in the same
- * order, restricted to the risky cone, so settled/captured planes —
- * and therefore error masks — are bit-identical to 64 scalar run()
- * calls. Per-lane maxArrivalPs is exact whenever it exceeds the
- * capture time (every faulty lane) and a lower bound otherwise (see
- * LaneBatch). EventDrivenDta remains the exact hazard-aware reference;
- * this engine batches the levelized approximation.
- *
- * Like the scalar engines, an instance is bound to one netlist, one
- * annotation, and one delay scale, owns scratch state, and is not
- * thread-safe; the returned batch references that scratch and is valid
- * until the next call.
- */
-class LaneDta
-{
-  public:
-    static constexpr unsigned kMaxLanes = 64;
-
-    LaneDta(const Netlist &nl, const DelayAnnotation &annot,
-            double delayScale = 1.0);
-
-    /**
-     * Simulate `lanes` input transitions prev -> cur at once. prev/cur
-     * hold one plane per primary input; lane l of the batch is the
-     * scalar run(prev bit l, cur bit l, captureTimePs).
-     */
-    const LaneBatch &runBatch(const std::vector<uint64_t> &prev,
-                              const std::vector<uint64_t> &cur,
-                              double captureTimePs, unsigned lanes);
-
-    /**
-     * Pure functional plane evaluation (zero-delay golden values):
-     * returns one settled plane per flat output bit. The reference is
-     * into scratch, valid until the next call.
-     */
-    const std::vector<uint64_t> &evalBatch(const std::vector<uint64_t> &cur);
-
-    const Netlist &netlist() const { return nl_; }
-
-  private:
-    const Netlist &nl_;
-    std::vector<double> delays_; ///< pre-scaled per-cell delays
-    double clkToQ_;
-    std::vector<NetId> outs_;    ///< cached flat output nets
-    std::vector<uint8_t> arity_; ///< cached per-cell fanin count
-    /**
-     * Per-cell capture-risky cone mask (all-ones when the cell sits on
-     * a static path longer than the cached capture time, else 0),
-     * rebuilt lazily when runBatch sees a new capture time.
-     */
-    std::vector<uint64_t> riskyMask_;
-    /**
-     * Longest static path from each cell's output to any flat output
-     * (capture-side slack complement); used by the timing pass to drop
-     * a toggle as soon as its dynamic arrival plus this remaining path
-     * can no longer exceed the capture time.
-     */
-    std::vector<double> remaining_;
-    double riskyCaptureTimePs_ = -1.0;
-    void rebuildRiskyCone(double captureTimePs);
-    // Scratch reused across calls.
-    std::vector<uint64_t> oldPlane_, newPlane_, togglePlane_;
-    std::vector<NetId> toggled_; ///< non-input cells toggling in any lane
-    /**
-     * Per-cell row index into laneArrival_ (row 0 is the shared
-     * constant clk-to-Q row every input maps to). Only valid for
-     * inputs and cells in the current toggled_ set; the timing pass
-     * guards every read with a toggle-bit test, so stale entries for
-     * non-toggling cells are never dereferenced.
-     */
-    std::vector<uint32_t> tpos_;
-    /** 64-lane arrival rows, compacted over the toggled set. */
-    std::vector<double> laneArrival_;
-    std::vector<uint64_t> evalPlane_, evalOut_;
-    LaneBatch batch_;
 };
 
 } // namespace tea::circuit

@@ -248,16 +248,17 @@ denseWord(uint64_t t, const double *const *frow, const uint64_t *ftw,
 }
 
 /**
- * Timing recurrence over ONE 64-lane word of the batch. Word-major
- * processing keeps the working set — the word's arrival arena slice
- * (`arr`, numArrivalRows x 64 doubles) plus the toggle arena — cache
- * resident even for 512-lane batches, where a node-major walk would
- * stream an 8x larger arena through L3 once per node visit.
+ * Timing recurrence over ONE 64-lane word of the batch, capture edge
+ * included. Word-major processing lets every word reuse the same
+ * arrival slice (`arr`, numArrivalRows x 64 doubles), so the working
+ * set — that slice plus the toggle arena — stays cache resident even
+ * for 512-lane batches. Nothing carries over between words: each
+ * arrival read is guarded by a toggle bit of the current word, and a
+ * node writes its row for every lane whose bit survives.
  *
  * The dirty list is in topological order (the value sweep visits
  * cells that way), so every fanin's arrival row and post-prune toggle
- * word are final before a node reads them — exactly the ordering
- * LaneDta's toggled_ list provides.
+ * word are final before a node reads them.
  */
 template <unsigned W>
 inline void
@@ -360,9 +361,8 @@ template <unsigned W>
 void
 timingImpl(const DtaProgram &p, DtaBatchCtx &ctx)
 {
-    const size_t wordArena = size_t{p.numArrivalRows} * 64;
     for (unsigned w = 0; w < W; ++w)
-        timingWord<W>(p, ctx, w, ctx.arrivals + w * wordArena);
+        timingWord<W>(p, ctx, w, ctx.arrivals);
 }
 
 void

@@ -213,9 +213,9 @@ compileDtaProgram(const Netlist &nl, const DelayAnnotation &annot,
         d *= delayScale;
 
     // ---- capture-risky cone + remaining static path ----------------
-    // Arithmetic-identical to LaneDta::rebuildRiskyCone: the same
-    // forward/backward double recurrences decide the same risky set
-    // and the same pruning constants.
+    // The same double arithmetic as LevelizedDta's arrival recurrence
+    // (clk-to-Q at the inputs, max over fanins plus the scaled cell
+    // delay), taken over static instead of dynamic arrivals.
     std::vector<double> staticArr(n, 0.0), remaining(n, 0.0);
     std::vector<uint8_t> risky(n, 0);
     for (NetId id = 0; id < n; ++id) {
@@ -278,9 +278,8 @@ compileDtaProgram(const Netlist &nl, const DelayAnnotation &annot,
     // ---- timing liveness -------------------------------------------
     // A cell's toggles matter only if they can be non-zero (risky and
     // not constant-valued) and can reach a flat output through risky
-    // fanin edges — the transposed closure of LaneDta's sparse pass.
-    // Cells outside this closure are visited by the interpreter but
-    // can never change a captured bit; dropping them is pure savings.
+    // fanin edges. Cells outside this closure can never change a
+    // captured bit, so they get no timing record at all.
     auto canToggle = [&](NetId id) {
         return risky[id] && !isConstRef(ref[id]);
     };
@@ -308,18 +307,70 @@ compileDtaProgram(const Netlist &nl, const DelayAnnotation &annot,
         }
     }
 
-    // Toggle-arena and arrival rows, in topological order so the
-    // dirty list the value sweep builds is visit-ordered.
-    std::vector<uint32_t> trowOf(n, kDtaNone), arowOf(n, kDtaNone);
-    uint32_t nextTrow = 0, nextArow = 1;
-    for (NetId id = 0; id < n; ++id) {
-        if (!timingLive[id])
-            continue;
-        trowOf[id] = nextTrow++;
-        if (cells[id].kind != CellKind::Input)
-            arowOf[id] = nextArow++;
-    }
+    // Toggle-arena rows, in topological order so the dirty list the
+    // value sweep builds is visit-ordered.
+    std::vector<uint32_t> trowOf(n, kDtaNone);
+    uint32_t nextTrow = 0;
+    for (NetId id = 0; id < n; ++id)
+        if (timingLive[id])
+            trowOf[id] = nextTrow++;
     p.numToggleRows = nextTrow;
+
+    // ---- arrival rows: linear scan over live ranges -----------------
+    // The timing pass visits the non-input timing-live cells in cell
+    // order (ordinal j). A cell's arrival row is live from its own
+    // visit to the last visit that reads it as a timing fanin; rows of
+    // flat outputs are read by the capture-edge pass after the last
+    // visit and stay pinned. A row freed at visit j is handed out again
+    // from visit j+1 on. Reuse is exact: every read of an arrival row
+    // is guarded by its owner's toggle bit, the value sweep rewrites
+    // every toggle row on each batch, and a cell writes its row for
+    // every lane whose toggle bit survives — so a value left behind by
+    // an earlier owner of the row is never read.
+    std::vector<uint32_t> visitOf(n, kDtaNone), lastRead(n, 0);
+    uint32_t visits = 0;
+    for (NetId id = 0; id < n; ++id) {
+        if (!timingLive[id] || cells[id].kind == CellKind::Input)
+            continue;
+        visitOf[id] = visits;
+        lastRead[id] = visits; // a cell no visit reads dies at once
+        unsigned ar = cellArity(cells[id].kind);
+        for (unsigned i = 0; i < ar; ++i)
+            if (canToggle(cells[id].fanin[i]))
+                lastRead[cells[id].fanin[i]] = visits;
+        ++visits;
+    }
+    for (NetId net : outs)
+        if (canToggle(net))
+            lastRead[net] = kDtaNone; // read after the last visit
+
+    std::vector<uint32_t> arowOf(n, kDtaNone), freeRows;
+    uint32_t nextArow = 1; // row 0 is the shared clk-to-Q row
+    for (NetId id = 0; id < n; ++id) {
+        const uint32_t j = visitOf[id];
+        if (j == kDtaNone)
+            continue;
+        // Allocate before the fanins' rows are freed, so a cell never
+        // writes the row it is still reading.
+        if (!freeRows.empty()) {
+            arowOf[id] = freeRows.back();
+            freeRows.pop_back();
+        } else {
+            arowOf[id] = nextArow++;
+        }
+        const Cell &cell = cells[id];
+        unsigned ar = cellArity(cell.kind);
+        for (unsigned i = 0; i < ar; ++i) {
+            NetId fi = cell.fanin[i];
+            bool repeat = false;
+            for (unsigned k = 0; k < i; ++k)
+                repeat |= cell.fanin[k] == fi;
+            if (!repeat && visitOf[fi] != kDtaNone && lastRead[fi] == j)
+                freeRows.push_back(arowOf[fi]);
+        }
+        if (lastRead[id] == j)
+            freeRows.push_back(arowOf[id]);
+    }
     p.numArrivalRows = nextArow;
 
     // ---- value liveness (dead-code elimination) --------------------

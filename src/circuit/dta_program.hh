@@ -4,12 +4,13 @@
  * fixed (netlist, annotation, delay scale, capture time) quadruple
  * into a flat specialized evaluation program.
  *
- * The interpreted engines (LevelizedDta, LaneDta) re-discover the same
- * facts on every sample: which cells are constant, which are buffers,
- * which sit in the capture-risky cone, which fanins can ever carry a
- * late toggle. All of that is fixed for the lifetime of an operating
- * point, so the compiler here computes it once and bakes it into two
- * straight-line instruction streams:
+ * An interpreter would re-discover the same facts on every sample:
+ * which cells are constant, which are buffers, which sit in the
+ * capture-risky cone (cells on some static path longer than the
+ * capture time), which fanins can ever carry a late toggle. All of
+ * that is fixed for the lifetime of an operating point, so the
+ * compiler here computes it once and bakes it into two straight-line
+ * instruction streams:
  *
  *  - **Value program** (`insns`): one bytecode instruction per *live*
  *    cell, in the netlist's topological order, operating on reusable
@@ -24,16 +25,22 @@
  *    delay, its remaining static path (the dynamic-slack pruning
  *    constant), and a *pre-filtered* fanin list — only fanins whose
  *    toggle planes can ever be non-zero (risky, non-constant) are
- *    kept, so the run-time recurrence never tests a fanin that the
- *    interpreter would have masked out anyway.
+ *    kept, so the run-time recurrence never tests a fanin whose
+ *    toggles are provably zero. Arrival rows are register-allocated
+ *    like the value slots: a row is reused once the last timing node
+ *    reading it has been visited, so the arena holds the live rows of
+ *    a stage, not one row per timing node.
  *
- * Exactness: the timing records replicate LaneDta's recurrence — the
- * same pre-scaled double delays, the same topological visit order, the
- * same `arr + remaining <= captureTime` pruning expression — and the
- * value program computes the same boolean functions, so settled /
- * captured planes and per-late-lane arrivals are bit-identical to
- * LevelizedDta::run at every lane width (tests/dta asserts this on
- * randomized netlists).
+ * Exactness: the timing records replicate LevelizedDta's recurrence
+ * restricted to the capture-risky cone — the same pre-scaled double
+ * delays, the same topological visit order — plus a dynamic-slack
+ * prune (`arr + remaining <= captureTime`) that only drops toggles
+ * which can no longer beat the capture edge. A dynamically late chain
+ * is itself an over-long static path, so every cell on it is in the
+ * cone; the value program computes the same boolean functions. So
+ * settled / captured planes and per-late-lane arrivals are
+ * bit-identical to LevelizedDta::run at every lane width (tests/dta
+ * asserts this on randomized netlists and on every FPU stage).
  */
 
 #ifndef TEA_CIRCUIT_DTA_PROGRAM_HH
@@ -102,7 +109,9 @@ struct DtaTimingNode
     double delayPs;     ///< pre-scaled cell delay
     double remainingPs; ///< longest static path to any output
     uint32_t trow;      ///< own toggle row
-    uint32_t arow;      ///< own arrival row (>= 1)
+    /** Own arrival row (>= 1), shared with nodes whose live ranges do
+     * not overlap this one's. */
+    uint32_t arow;
     uint32_t faninBegin; ///< into DtaProgram::tfanins
     uint32_t faninCount; ///< 0..3 surviving fanins
     /**
@@ -136,7 +145,8 @@ struct DtaProgram
 
     uint32_t numSlots = 0;       ///< peak live value slots
     uint32_t numToggleRows = 0;  ///< toggle-arena rows
-    uint32_t numArrivalRows = 1; ///< row 0 is the shared clk-to-Q row
+    /** Peak live arrival rows; row 0 is the shared clk-to-Q row. */
+    uint32_t numArrivalRows = 1;
     double clkToQPs = 0.0;
     double captureTimePs = 0.0;
 
@@ -147,12 +157,7 @@ struct DtaProgram
     size_t riskyCells = 0;  ///< capture-risky cells (pre-DCE)
 };
 
-/**
- * Lower `nl` for one operating point and capture time. The risky-cone
- * and remaining-path computation is arithmetic-identical to
- * LaneDta::rebuildRiskyCone, so the compiled timing pass prunes and
- * captures exactly like the interpreted one.
- */
+/** Lower `nl` for one operating point and capture time. */
 DtaProgram compileDtaProgram(const Netlist &nl,
                              const DelayAnnotation &annot,
                              double delayScale, double captureTimePs);
@@ -169,7 +174,10 @@ struct DtaBatchCtx
     const uint64_t *golden = nullptr; ///< numInputs x W planes
     uint64_t *slots = nullptr;   ///< numSlots x 3 x W
     uint64_t *toggles = nullptr; ///< numToggleRows x W
-    /** W word-major slices of numArrivalRows x 64 doubles each. */
+    /**
+     * numArrivalRows x 64 doubles: one 64-lane slice, reused for every
+     * plane word (the timing pass finishes a word before the next).
+     */
     double *arrivals = nullptr;
     uint32_t *dirty = nullptr;        ///< capacity = tnodes.size()
     uint32_t dirtyCount = 0;

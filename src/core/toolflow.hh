@@ -76,13 +76,6 @@ struct ToolflowOptions
      */
     uint64_t maxAdaptiveRuns = 0;
     /**
-     * Batched-DTA engine for characterization campaigns
-     * (REPRO_DTA_BACKEND=levelized|lane|compiled). Results are
-     * bit-identical across backends; the knob trades interpretation
-     * against compile-once specialized execution.
-     */
-    circuit::DtaBackend dtaBackend = circuit::DtaBackend::Lane;
-    /**
      * Importance-sampled injection (REPRO_IS=1): IA/WA campaign cells
      * plan injections under a surrogate-tilted proposal and estimate
      * AVM with the self-normalized weighted estimator. Off by default:
@@ -120,7 +113,7 @@ struct ToolflowOptions
  * Read REPRO_RUNS / REPRO_FULL / REPRO_SEED / REPRO_CACHE /
  * REPRO_THREADS / REPRO_RESUME / REPRO_RUN_DEADLINE_MS /
  * REPRO_CI_TARGET / REPRO_CI_CONF / REPRO_MAX_RUNS /
- * REPRO_DTA_BACKEND / REPRO_IS / REPRO_IS_BOOST / REPRO_IS_FLOOR /
+ * REPRO_IS / REPRO_IS_BOOST / REPRO_IS_FLOOR /
  * REPRO_IS_MAXTILT / REPRO_IS_CORPUS / REPRO_MC_CORES /
  * REPRO_MC_QUANTUM overrides. Malformed values are rejected with a
  * warn and the default kept; out-of-range values are clamped — a typo

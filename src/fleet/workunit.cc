@@ -150,7 +150,6 @@ FleetPlan::serialize() const
     out << "citarget " << fmtDouble(opt.ciTarget) << "\n";
     out << "ciconf " << fmtDouble(opt.ciConf) << "\n";
     out << "maxadaptive " << opt.maxAdaptiveRuns << "\n";
-    out << "dtabackend " << static_cast<int>(opt.dtaBackend) << "\n";
     out << "isenable " << (opt.isEnable ? 1 : 0) << "\n";
     out << "isboost " << fmtDouble(opt.isBoost) << "\n";
     out << "isfloor " << fmtDouble(opt.isFloor) << "\n";
@@ -182,6 +181,9 @@ FleetPlan::parse(const std::string &content)
     p.opt.vrLevels.clear();
     LineScanner sc(body->substr(body->find('\n') + 1));
     std::string key, value;
+    // Unknown keys are skipped, so plans written by older versions
+    // still parse (e.g. their `dtabackend` line, which selected a DTA
+    // engine that no longer exists).
     while (sc.next(key, value)) {
         if (key == "seed")
             p.opt.seed = toU64(value);
@@ -209,9 +211,6 @@ FleetPlan::parse(const std::string &content)
             p.opt.ciConf = std::strtod(value.c_str(), nullptr);
         else if (key == "maxadaptive")
             p.opt.maxAdaptiveRuns = toU64(value);
-        else if (key == "dtabackend")
-            p.opt.dtaBackend =
-                static_cast<circuit::DtaBackend>(toU64(value));
         else if (key == "isenable")
             p.opt.isEnable = value == "1";
         else if (key == "isboost")

@@ -78,14 +78,13 @@ class FpuCore
     Exec execute(size_t point, FpuOp op, uint64_t a, uint64_t b = 0);
 
     /**
-     * Run `lanes` instructions on one unit at once through its batched
-     * DTA engine (<= 64 lanes on the lane backend, <= 512 on the
-     * compiled one — see circuit::dtaBackend): lane l executes ops[l]
-     * on (a[l], b[l]) and out[l] receives its Exec. Lanes may mix ops
-     * that share a unit (AddD with SubD, AddS with SubS); every lane
-     * must map to ops[0]'s unit, or the call panics. Bit-identical to
-     * `lanes` sequential execute() calls — including pipeline-history
-     * effects — at any lane count and backend (see
+     * Run `lanes` (<= circuit::CompiledDta::kMaxLanes) instructions on
+     * one unit at once through its batched DTA engine: lane l executes
+     * ops[l] on (a[l], b[l]) and out[l] receives its Exec. Lanes may
+     * mix ops that share a unit (AddD with SubD, AddS with SubS);
+     * every lane must map to ops[0]'s unit, or the call panics.
+     * Bit-identical to `lanes` sequential execute() calls — including
+     * pipeline-history effects — at any lane count (see
      * FpuUnit::executeBatch for the fallback rules).
      */
     void executeBatch(size_t point, const FpuOp *ops, const uint64_t *a,

@@ -1,6 +1,7 @@
 #include "fpu/fpu_unit.hh"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 
 #include "obs/metrics.hh"
@@ -64,8 +65,6 @@ FpuUnit::addOperatingPoint(double delayScale, bool exactEngine)
                 *stages_[s], annots_[s], delayScale));
         } else {
             pt.engines.push_back(std::make_unique<LevelizedDta>(
-                *stages_[s], annots_[s], delayScale));
-            pt.laneEngines.push_back(std::make_unique<circuit::LaneDta>(
                 *stages_[s], annots_[s], delayScale));
         }
     }
@@ -175,28 +174,16 @@ FpuUnit::executeBatch(size_t point,
     panic_if(point >= points_.size(), "bad operating point %zu", point);
     Point &pt = points_[point];
 
-    const circuit::DtaBackend backend = circuit::dtaBackend();
-    static obs::Gauge gBackend = obs::Registry::global().gauge(
-        obs::metric::kDtaBackend, "",
-        "active batched-DTA backend (0=levelized 1=lane 2=compiled)");
-    gBackend.set(static_cast<int64_t>(backend));
-
-    const unsigned maxLanes = backend == circuit::DtaBackend::Lane
-                                  ? circuit::LaneDta::kMaxLanes
-                                  : circuit::CompiledDta::kMaxLanes;
-    panic_if(lanes == 0 || lanes > maxLanes,
-             "executeBatch: bad lane count %u for backend %s", lanes,
-             circuit::dtaBackendName(backend));
+    panic_if(lanes == 0 || lanes > circuit::CompiledDta::kMaxLanes,
+             "executeBatch: bad lane count %u", lanes);
     const unsigned W = circuit::CompiledDta::wordsFor(lanes);
     panic_if(stage0Planes.size() !=
                  stages_.front()->numInputs() * size_t{W},
              "executeBatch: bad stage-0 plane count");
 
-    if (pt.exact || lanes == 1 ||
-        backend == circuit::DtaBackend::Levelized) {
-        // Scalar fallback: exact points have no batch engines, a
-        // single lane gains nothing from plane packing, and the
-        // levelized backend is by definition the scalar oracle loop.
+    if (pt.exact || lanes == 1) {
+        // Scalar fallback: exact points have no batch engine, and a
+        // single lane gains nothing from plane packing.
         std::vector<bool> in(stages_.front()->numInputs());
         for (unsigned l = 0; l < lanes; ++l) {
             for (size_t i = 0; i < in.size(); ++i)
@@ -211,75 +198,45 @@ FpuUnit::executeBatch(size_t point,
     std::array<double, circuit::CompiledDta::kMaxLanes> maxArr{};
     std::vector<uint64_t> prev;
 
-    if (backend == circuit::DtaBackend::Compiled) {
-        ensureCompiledEngines(pt, captureTimePs);
-        for (size_t s = 0; s < stages_.size(); ++s) {
-            circuit::CompiledDta &eng = *pt.compiledEngines[s];
-            const size_t nIn = stages_[s]->numInputs();
-            // Same funnel shift as the lane path below, but across W
-            // words per input: lane l's previous stage input is lane
-            // l-1's, with lane 0 continuing from the stored history
-            // (or, unprimed, from its own input).
-            prev.resize(nIn * W);
-            for (size_t i = 0; i < nIn; ++i) {
-                uint64_t carry = pt.primed
-                                     ? (pt.prevIn[s][i] ? 1 : 0)
-                                     : (faultyIn[i * W] & 1);
-                for (unsigned w = 0; w < W; ++w) {
-                    uint64_t v = faultyIn[i * W + w];
-                    prev[i * W + w] = (v << 1) | carry;
-                    carry = v >> 63;
-                }
+    ensureCompiledEngines(pt, captureTimePs);
+    for (size_t s = 0; s < stages_.size(); ++s) {
+        circuit::CompiledDta &eng = *pt.compiledEngines[s];
+        const size_t nIn = stages_[s]->numInputs();
+        // Lane l's previous stage input is lane l-1's: the cross-lane
+        // dependency is a one-bit funnel shift across the W words of
+        // each input. Lane 0 continues from the stored history, or
+        // (unprimed) from its own input — the same self-transition
+        // the scalar path uses.
+        prev.resize(nIn * W);
+        for (size_t i = 0; i < nIn; ++i) {
+            uint64_t carry = pt.primed ? (pt.prevIn[s][i] ? 1 : 0)
+                                       : (faultyIn[i * W] & 1);
+            for (unsigned w = 0; w < W; ++w) {
+                uint64_t v = faultyIn[i * W + w];
+                prev[i * W + w] = (v << 1) | carry;
+                carry = v >> 63;
             }
-            std::vector<bool> &hist = pt.prevIn[s];
-            hist.assign(nIn, false);
-            for (size_t i = 0; i < nIn; ++i)
-                hist[i] = (faultyIn[i * W + (lanes - 1) / 64] >>
-                           ((lanes - 1) % 64)) &
-                          1;
-            const circuit::WideBatch &res = eng.runBatch(
-                prev, faultyIn, goldenIn, captureTimePs, lanes);
-            for (unsigned l = 0; l < lanes; ++l)
-                maxArr[l] = std::max(maxArr[l], res.maxArrivalPs[l]);
-            faultyIn = res.captured;
-            // The golden chain is the fused third plane: a pure
-            // functional evaluation of the golden inputs, which is
-            // what the scalar chain computes whether or not the
-            // chains have diverged.
-            goldenIn = res.golden;
         }
-    } else {
-        for (size_t s = 0; s < stages_.size(); ++s) {
-            circuit::LaneDta &eng = *pt.laneEngines[s];
-            // Lane l's previous stage input is lane l-1's: the
-            // cross-lane dependency is a one-bit shift. Lane 0
-            // continues from the stored history, or (unprimed) from
-            // its own input — the same self-transition the scalar
-            // path uses.
-            prev.resize(faultyIn.size());
-            for (size_t i = 0; i < faultyIn.size(); ++i) {
-                uint64_t hist = pt.primed ? (pt.prevIn[s][i] ? 1 : 0)
-                                          : (faultyIn[i] & 1);
-                prev[i] = (faultyIn[i] << 1) | hist;
-            }
-            // After the batch the stored history is the last lane's
-            // input, exactly what `lanes` scalar calls would have
-            // left behind.
-            std::vector<bool> &hist = pt.prevIn[s];
-            hist.assign(faultyIn.size(), false);
-            for (size_t i = 0; i < faultyIn.size(); ++i)
-                hist[i] = (faultyIn[i] >> (lanes - 1)) & 1;
-            const circuit::LaneBatch &res =
-                eng.runBatch(prev, faultyIn, captureTimePs, lanes);
-            for (unsigned l = 0; l < lanes; ++l)
-                maxArr[l] = std::max(maxArr[l], res.maxArrivalPs[l]);
-            faultyIn = res.captured;
-            // The scalar golden chain equals the pure functional
-            // evaluation of the golden inputs (settled == evaluate
-            // when the chains agree, and it switches to evaluate once
-            // they diverge), so one plane sweep covers all lanes.
-            goldenIn = eng.evalBatch(goldenIn);
-        }
+        // After the batch the stored history is the last lane's
+        // input, exactly what `lanes` scalar calls would have left
+        // behind.
+        std::vector<bool> &hist = pt.prevIn[s];
+        hist.assign(nIn, false);
+        for (size_t i = 0; i < nIn; ++i)
+            hist[i] = (faultyIn[i * W + (lanes - 1) / 64] >>
+                       ((lanes - 1) % 64)) &
+                      1;
+        const circuit::WideBatch &res = eng.runBatch(
+            prev, faultyIn, goldenIn, captureTimePs, lanes);
+        for (unsigned l = 0; l < lanes; ++l)
+            maxArr[l] = std::max(maxArr[l], res.maxArrivalPs[l]);
+        faultyIn = res.captured;
+        // The golden chain is the fused third plane: a pure
+        // functional evaluation of the golden inputs, which is what
+        // the scalar chain computes whether or not the chains have
+        // diverged (settled == evaluate while they agree, and it
+        // switches to evaluate once they diverge).
+        goldenIn = res.golden;
     }
     pt.primed = true;
 

@@ -40,6 +40,11 @@ class FpuUnit
     const char *name() const { return fpuUnitName(kind_); }
     size_t numStages() const { return stages_.size(); }
     const circuit::Netlist &stage(size_t s) const { return *stages_[s]; }
+    /** Per-stage delay annotation (nominal voltage). */
+    const circuit::DelayAnnotation &stageAnnotation(size_t s) const
+    {
+        return annots_[s];
+    }
     size_t totalCells() const;
 
     /** Per-stage static timing results (nominal voltage). */
@@ -92,23 +97,20 @@ class FpuUnit
                  double captureTimePs);
 
     /**
-     * Execute up to 512 operations at once through a batched DTA
-     * engine, selected by circuit::dtaBackend(): the 64-lane SWAR
-     * interpreter (circuit::LaneDta, lanes <= 64), the compiled
-     * program engine (circuit::CompiledDta, lanes <= 512), or a
-     * scalar LevelizedDta loop. stage0Planes holds
+     * Execute up to 512 operations at once through the compiled
+     * batched DTA engine (circuit::CompiledDta). stage0Planes holds
      * circuit::CompiledDta::wordsFor(lanes) uint64_t words per
      * stage-0 input net, input-major (one word per net for lanes <=
-     * 64 — the historical layout); lane l is operation l's input, and
-     * out[l] receives its Exec. Operations behave exactly as `lanes`
-     * sequential execute() calls: lane l's pipeline history is lane
-     * l-1's stage inputs (lane 0 continues from the point's stored
-     * history), and after the batch the history holds the last lane's
-     * inputs — results are bit-identical to the scalar path at every
-     * backend and lane width, except that Exec::maxArrivalPs is
-     * computed over the capture-risky cone only (exact for every op
-     * with a timing error, a lower bound for error-free ops; see
-     * circuit::LaneBatch). Exact (event-driven) operating points and
+     * 64); lane l is operation l's input, and out[l] receives its
+     * Exec. Operations behave exactly as `lanes` sequential execute()
+     * calls: lane l's pipeline history is lane l-1's stage inputs
+     * (lane 0 continues from the point's stored history), and after
+     * the batch the history holds the last lane's inputs — results
+     * are bit-identical to the scalar path at every lane width,
+     * except that Exec::maxArrivalPs is computed over the
+     * capture-risky cone only (exact for every op with a timing
+     * error, a lower bound for error-free ops; see
+     * circuit::WideBatch). Exact (event-driven) operating points and
      * single-lane batches fall back to scalar execute() calls
      * internally.
      *
@@ -148,12 +150,10 @@ class FpuUnit
         double scale;
         bool exact;
         std::vector<std::unique_ptr<circuit::DtaEngine>> engines;
-        /** Per-stage lane engines (levelized points only). */
-        std::vector<std::unique_ptr<circuit::LaneDta>> laneEngines;
         /**
          * Per-stage compiled engines, created (and their netlists
-         * lowered) on the first batch the compiled backend executes
-         * at this point — points never routed there pay nothing.
+         * lowered) on the first multi-lane batch at this point —
+         * points that only run scalar ops pay nothing.
          */
         std::vector<std::unique_ptr<circuit::CompiledDta>>
             compiledEngines;

@@ -63,12 +63,11 @@ inline constexpr const char *kDtaShardsDropped =
     "tea_dta_shards_dropped_total";
 inline constexpr const char *kDtaOps = "tea_dta_ops_total";
 inline constexpr const char *kDtaShardMs = "tea_dta_shard_ms";
-inline constexpr const char *kDtaLaneBatches =
+inline constexpr const char *kDtaLaneBlocks =
     "tea_dta_lane_batches_total";
 inline constexpr const char *kDtaLaneFallbackOps =
     "tea_dta_lane_fallback_ops_total";
 inline constexpr const char *kDtaCompileMs = "tea_dta_compile_ms";
-inline constexpr const char *kDtaBackend = "tea_dta_backend";
 // ---- importance sampling / surrogate -------------------------------
 inline constexpr const char *kIsRuns = "tea_is_runs_total";
 inline constexpr const char *kIsEssRatio = "tea_is_ess_ratio";

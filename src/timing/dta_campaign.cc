@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <functional>
 
 #include "obs/metrics.hh"
@@ -218,7 +217,7 @@ DtaCampaign::executeBlock(const FpuOp *ops, const uint64_t *a,
                           const uint64_t *b, unsigned lanes)
 {
     static obs::Counter mBatches = obs::Registry::global().counter(
-        obs::metric::kDtaLaneBatches, "",
+        obs::metric::kDtaLaneBlocks, "",
         "multi-lane DTA blocks executed");
     static obs::Counter mFallback = obs::Registry::global().counter(
         obs::metric::kDtaLaneFallbackOps, "",
@@ -239,40 +238,8 @@ DtaCampaign::executeBlock(const FpuOp *ops, const uint64_t *a,
 
 namespace {
 
-/** Cached lane width; 0 = not yet resolved from the environment. */
+/** Lane-width override; 0 = the engine maximum. */
 std::atomic<unsigned> gDtaLanes{0};
-
-/**
- * Lane ceiling of the active backend: the lane interpreter is a
- * 64-lane SWAR engine, while the compiled backend takes up to 512 and
- * the levelized one is a scalar loop with no width limit of its own
- * (it shares the compiled ceiling so plane buffers stay bounded).
- */
-unsigned
-maxDtaLanes()
-{
-    return circuit::dtaBackend() == circuit::DtaBackend::Lane
-               ? circuit::LaneDta::kMaxLanes
-               : circuit::CompiledDta::kMaxLanes;
-}
-
-unsigned
-lanesFromEnv()
-{
-    const unsigned maxLanes = maxDtaLanes();
-    const char *env = std::getenv("REPRO_DTA_LANES");
-    if (!env || !*env)
-        return maxLanes;
-    char *end = nullptr;
-    long n = std::strtol(env, &end, 10);
-    if (end == env || *end != '\0' || n < 1 ||
-        n > static_cast<long>(maxLanes)) {
-        warn("REPRO_DTA_LANES='%s' invalid (want 1..%u); using %u", env,
-             maxLanes, maxLanes);
-        return maxLanes;
-    }
-    return static_cast<unsigned>(n);
-}
 
 } // namespace
 
@@ -280,19 +247,14 @@ unsigned
 dtaLanes()
 {
     unsigned lanes = gDtaLanes.load(std::memory_order_relaxed);
-    if (lanes == 0) {
-        lanes = lanesFromEnv();
-        gDtaLanes.store(lanes, std::memory_order_relaxed);
-    }
-    return lanes;
+    return lanes ? lanes : circuit::CompiledDta::kMaxLanes;
 }
 
 void
 setDtaLanes(unsigned lanes)
 {
-    if (lanes > maxDtaLanes())
-        lanes = maxDtaLanes();
-    gDtaLanes.store(lanes, std::memory_order_relaxed);
+    gDtaLanes.store(std::min(lanes, circuit::CompiledDta::kMaxLanes),
+                    std::memory_order_relaxed);
 }
 
 void

@@ -175,16 +175,17 @@ class DtaCampaign
 uint64_t maskPriority(uint64_t seed, unsigned op, uint64_t seq);
 
 /**
- * Batch width campaigns use, cached from REPRO_DTA_LANES on first
- * call. The ceiling tracks the active DTA backend (see
- * circuit::dtaBackend): 64 on the lane backend, 512 otherwise; unset
- * defaults to the ceiling and out-of-range values warn and clamp to
- * it. 1 disables batching. Campaign results are bit-identical at
- * every width — the knob is purely a performance/debugging switch.
+ * Batch width campaigns use: circuit::CompiledDta::kMaxLanes unless a
+ * test overrode it with setDtaLanes. Campaign results are
+ * bit-identical at every width; 1 runs every op through the scalar
+ * LevelizedDta oracle.
  */
 unsigned dtaLanes();
 
-/** Override the lane width (0 = re-read REPRO_DTA_LANES). */
+/**
+ * Test seam for width-invariance checks: override the lane width
+ * (clamped to the engine maximum; 0 restores the default).
+ */
 void setDtaLanes(unsigned lanes);
 
 /**

@@ -7,6 +7,7 @@
 
 #include "circuit/builders.hh"
 #include "circuit/celllib.hh"
+#include "circuit/compiled_dta.hh"
 #include "circuit/dta.hh"
 #include "circuit/sta.hh"
 #include "util/bitops.hh"
@@ -336,42 +337,48 @@ packPlanes(const std::vector<std::vector<bool>> &vecs)
 
 } // namespace
 
-TEST(LaneDta, BitIdenticalToScalarLevelized)
+TEST(CompiledDtaAdder, BitIdenticalToScalarLevelized)
 {
+    // Full and partial (5-lane) batches on the adder: settled,
+    // captured and golden planes equal the scalar engine and the
+    // zero-delay evaluation per lane.
     AdderFixture f;
     DelayAnnotation annot(f.nl, CellLibrary::nangate45Like(), 1);
     LevelizedDta scalar(f.nl, annot, 1.2);
-    LaneDta lane(f.nl, annot, 1.2);
+    CompiledDta comp(f.nl, annot, 1.2);
     Rng rng(31);
     // Include a tight capture right in the arrival distribution so
     // both error and error-free lanes occur.
     for (double capture : {1e9, 250.0, 180.0}) {
-        for (int round = 0; round < 4; ++round) {
+        for (unsigned lanes : {64u, 64u, 5u}) {
             std::vector<std::vector<bool>> prevs, curs;
-            for (unsigned l = 0; l < 64; ++l) {
+            for (unsigned l = 0; l < lanes; ++l) {
                 prevs.push_back(
                     f.inputs(rng.next() & 0xff, rng.next() & 0xff));
                 curs.push_back(
                     f.inputs(rng.next() & 0xff, rng.next() & 0xff));
             }
-            const auto &batch = lane.runBatch(
-                packPlanes(prevs), packPlanes(curs), capture, 64);
-            for (unsigned l = 0; l < 64; ++l) {
+            const auto cur = packPlanes(curs);
+            const auto &batch = comp.runBatch(packPlanes(prevs), cur,
+                                              cur, capture, lanes);
+            for (unsigned l = 0; l < lanes; ++l) {
                 auto ref = scalar.run(prevs[l], curs[l], capture);
-                uint64_t settled = 0, captured = 0;
+                auto golden = flattenOutputs(f.nl, evaluate(f.nl, curs[l]));
+                uint64_t settled = 0, captured = 0, gold = 0;
                 for (size_t k = 0; k < ref.settled.size(); ++k) {
                     settled |= uint64_t{ref.settled[k]} << k;
                     captured |= uint64_t{ref.captured[k]} << k;
+                    gold |= uint64_t{golden[k]} << k;
                 }
-                uint64_t laneSettled = 0, laneCaptured = 0;
+                uint64_t laneSettled = 0, laneCaptured = 0, laneGold = 0;
                 for (size_t k = 0; k < batch.settled.size(); ++k) {
-                    laneSettled |=
-                        ((batch.settled[k] >> l) & 1) << k;
-                    laneCaptured |=
-                        ((batch.captured[k] >> l) & 1) << k;
+                    laneSettled |= ((batch.settled[k] >> l) & 1) << k;
+                    laneCaptured |= ((batch.captured[k] >> l) & 1) << k;
+                    laneGold |= ((batch.golden[k] >> l) & 1) << k;
                 }
                 ASSERT_EQ(laneSettled, settled);
                 ASSERT_EQ(laneCaptured, captured);
+                ASSERT_EQ(laneGold, gold);
                 // Arrival contract: exact above the capture time (same
                 // doubles, same order), lower bound below it.
                 if (ref.maxArrivalPs > capture)
@@ -380,51 +387,5 @@ TEST(LaneDta, BitIdenticalToScalarLevelized)
                     ASSERT_LE(batch.maxArrivalPs[l], ref.maxArrivalPs);
             }
         }
-    }
-}
-
-TEST(LaneDta, PartialBatchMatchesScalar)
-{
-    AdderFixture f;
-    DelayAnnotation annot(f.nl, CellLibrary::nangate45Like(), 1);
-    LevelizedDta scalar(f.nl, annot);
-    LaneDta lane(f.nl, annot);
-    Rng rng(32);
-    std::vector<std::vector<bool>> prevs, curs;
-    for (unsigned l = 0; l < 5; ++l) {
-        prevs.push_back(f.inputs(rng.next() & 0xff, rng.next() & 0xff));
-        curs.push_back(f.inputs(rng.next() & 0xff, rng.next() & 0xff));
-    }
-    const auto &batch =
-        lane.runBatch(packPlanes(prevs), packPlanes(curs), 230.0, 5);
-    for (unsigned l = 0; l < 5; ++l) {
-        auto ref = scalar.run(prevs[l], curs[l], 230.0);
-        for (size_t k = 0; k < ref.settled.size(); ++k) {
-            ASSERT_EQ((batch.settled[k] >> l) & 1,
-                      uint64_t{ref.settled[k]});
-            ASSERT_EQ((batch.captured[k] >> l) & 1,
-                      uint64_t{ref.captured[k]});
-        }
-        if (ref.maxArrivalPs > 230.0)
-            ASSERT_EQ(batch.maxArrivalPs[l], ref.maxArrivalPs);
-        else
-            ASSERT_LE(batch.maxArrivalPs[l], ref.maxArrivalPs);
-    }
-}
-
-TEST(LaneDta, EvalBatchMatchesFunctionalEvaluation)
-{
-    AdderFixture f;
-    DelayAnnotation annot(f.nl, CellLibrary::nangate45Like(), 1);
-    LaneDta lane(f.nl, annot);
-    Rng rng(33);
-    std::vector<std::vector<bool>> curs;
-    for (unsigned l = 0; l < 64; ++l)
-        curs.push_back(f.inputs(rng.next() & 0xff, rng.next() & 0xff));
-    const auto &out = lane.evalBatch(packPlanes(curs));
-    for (unsigned l = 0; l < 64; ++l) {
-        auto flat = flattenOutputs(f.nl, evaluate(f.nl, curs[l]));
-        for (size_t k = 0; k < flat.size(); ++k)
-            ASSERT_EQ((out[k] >> l) & 1, uint64_t{flat[k]});
     }
 }

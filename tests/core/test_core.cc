@@ -325,36 +325,3 @@ TEST(OptionsFromEnv, Overrides)
     EXPECT_EQ(opt2.runsPerCell, inject::kStatisticalRuns);
     unsetenv("REPRO_FULL");
 }
-
-TEST(OptionsFromEnv, DtaBackendParsedAndHardened)
-{
-    unsetenv("REPRO_DTA_BACKEND");
-    EXPECT_EQ(optionsFromEnv().dtaBackend, circuit::DtaBackend::Lane);
-
-    setenv("REPRO_DTA_BACKEND", "compiled", 1);
-    EXPECT_EQ(optionsFromEnv().dtaBackend,
-              circuit::DtaBackend::Compiled);
-    setenv("REPRO_DTA_BACKEND", "levelized", 1);
-    EXPECT_EQ(optionsFromEnv().dtaBackend,
-              circuit::DtaBackend::Levelized);
-
-    // Malformed values warn and keep the default instead of
-    // silently selecting some engine (PR2 env-hardening pattern).
-    setenv("REPRO_DTA_BACKEND", "jit", 1);
-    EXPECT_EQ(optionsFromEnv().dtaBackend, circuit::DtaBackend::Lane);
-    unsetenv("REPRO_DTA_BACKEND");
-}
-
-TEST(Toolflow, CtorAppliesDtaBackendOption)
-{
-    circuit::resetDtaBackend();
-    ToolflowOptions opt;
-    opt.cacheDir.clear();
-    opt.dtaBackend = circuit::DtaBackend::Compiled;
-    {
-        Toolflow tf(opt);
-        EXPECT_EQ(circuit::dtaBackend(),
-                  circuit::DtaBackend::Compiled);
-    }
-    circuit::resetDtaBackend();
-}

@@ -6,14 +6,15 @@
  * values, error masks, golden evaluations and (per its cone-only
  * contract) dynamic arrivals — on randomized DAGs over the full cell
  * library, at every lane width from 1 to 512, at every compiled ISA
- * level, and through whole campaigns across backend x lane-width x
- * thread-count. Also pins the REPRO_DTA_BACKEND knob semantics.
+ * level, on every stage of every FPU unit (where live-range arrival
+ * rows are reused most), and through whole campaigns across
+ * lane-width x thread-count with one lane (the scalar path) as the
+ * oracle.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -386,48 +387,163 @@ TEST(CompiledDta, IsaLevelsBitIdentical)
     simd::resetActiveIsa();
 }
 
-TEST(CompiledDta, CampaignInvariantAcrossBackendLanesThreads)
+TEST(CompiledDta, FpuStagesReuseArrivalRowsAndMatchOracle)
 {
-    // Whole-campaign identity: every backend x lane-width x thread
-    // combination accumulates byte-identical statistics (and so a
-    // byte-identical BER CSV). kDtaShardOps ops/type fills exactly one
-    // shard, so the 256/512-lane cells genuinely form wide batches.
+    // Every stage of all 10 units, lowered at VR15 and VR20 for the
+    // core's capture time. Arrival rows are allocated by live range,
+    // so a stage needs only its peak live rows (one row per timing
+    // node would take up to 6,709 on fpu-div.d). Each stage replays a
+    // real operand stream — stage 0 gets random ops of the unit, each
+    // later stage the previous stage's settled outputs — at 1, 63, 64,
+    // 65 and 512 lanes, and settled, captured and error bits must
+    // equal the scalar LevelizedDta oracle lane by lane.
+    constexpr unsigned kLanes = CompiledDta::kMaxLanes;
+    constexpr uint32_t kMaxRows = 320;
+    const double cap = core().captureTimePs();
+    uint64_t errors = 0, errorsViaReusedRows = 0;
+
+    for (double vr : {kVR15, kVR20}) {
+        const double scale = VoltageModel{}.delayFactorAtReduction(vr);
+        for (unsigned u = 0; u < fpu::kNumFpuUnits; ++u) {
+            const auto kind = static_cast<fpu::FpuUnitKind>(u);
+            const fpu::FpuUnit &unit = core().unit(kind);
+            std::vector<FpuOp> ops;
+            for (unsigned o = 0; o < fpu::kNumFpuOps; ++o)
+                if (fpu::unitFor(static_cast<FpuOp>(o)) == kind)
+                    ops.push_back(static_cast<FpuOp>(o));
+            // vecs[k] -> vecs[k+1] is lane k's transition.
+            Rng rng(1000 + u);
+            std::vector<std::vector<bool>> vecs;
+            for (unsigned k = 0; k <= kLanes; ++k) {
+                FpuOp op = ops[k % ops.size()];
+                uint64_t a, b;
+                randomOperands(op, rng, a, b);
+                vecs.push_back(unit.packInputs(op, a, b));
+            }
+
+            for (size_t s = 0; s < unit.numStages(); ++s) {
+                const Netlist &nl = unit.stage(s);
+                const DelayAnnotation &annot = unit.stageAnnotation(s);
+                SCOPED_TRACE(testing::Message()
+                             << unit.name() << " stage " << s << " VR"
+                             << vr * 100);
+                CompiledDta comp(nl, annot, scale);
+                comp.prepare(cap);
+                const DtaProgram &p = *comp.program();
+                EXPECT_LE(p.numArrivalRows, kMaxRows);
+
+                // Replay the timing pass's write order: every read of
+                // a row (timing fanins, then the capture edge) must
+                // see the row last written by the node it names, or a
+                // reused row would hand a reader someone else's
+                // arrivals.
+                std::vector<uint32_t> writerTrow(p.numArrivalRows,
+                                                 kDtaNone);
+                std::vector<unsigned> writers(p.numArrivalRows, 0);
+                for (const DtaTimingNode &nd : p.tnodes) {
+                    for (uint32_t f = 0; f < nd.faninCount; ++f) {
+                        const DtaTimingFanin &fan =
+                            p.tfanins[nd.faninBegin + f];
+                        if (fan.arow != 0) {
+                            ASSERT_EQ(writerTrow[fan.arow], fan.trow);
+                        }
+                    }
+                    writerTrow[nd.arow] = nd.trow;
+                    ++writers[nd.arow];
+                }
+                std::vector<uint8_t> outReused(nl.numOutputBits(), 0);
+                for (const DtaTimingOut &o : p.touts) {
+                    if (o.arow == 0)
+                        continue;
+                    ASSERT_EQ(writerTrow[o.arow], o.trow);
+                    outReused[o.outIdx] = writers[o.arow] > 1;
+                }
+
+                LevelizedDta lev(nl, annot, scale);
+                std::vector<DtaResult> ref;
+                for (unsigned l = 0; l < kLanes; ++l)
+                    ref.push_back(lev.run(vecs[l], vecs[l + 1], cap));
+                for (unsigned lanes : {1u, 63u, 64u, 65u, kLanes}) {
+                    const unsigned W = CompiledDta::wordsFor(lanes);
+                    std::vector<std::vector<bool>> prev(
+                        vecs.begin(), vecs.begin() + lanes);
+                    std::vector<std::vector<bool>> cur(
+                        vecs.begin() + 1, vecs.begin() + lanes + 1);
+                    std::vector<uint64_t> pp, cp;
+                    packPlanes(prev, W, pp);
+                    packPlanes(cur, W, cp);
+                    const WideBatch &wb =
+                        comp.runBatch(pp, cp, cp, cap, lanes);
+                    for (unsigned l = 0; l < lanes; ++l) {
+                        const unsigned w = l / 64, bit = l % 64;
+                        for (size_t o = 0; o < ref[l].settled.size();
+                             ++o) {
+                            bool settled =
+                                (wb.settled[o * W + w] >> bit) & 1;
+                            bool captured =
+                                (wb.captured[o * W + w] >> bit) & 1;
+                            ASSERT_EQ(settled, ref[l].settled[o])
+                                << "lanes " << lanes << " lane " << l
+                                << " out " << o;
+                            ASSERT_EQ(captured, ref[l].captured[o])
+                                << "lanes " << lanes << " lane " << l
+                                << " out " << o;
+                            if (lanes == kLanes &&
+                                captured != settled) {
+                                ++errors;
+                                errorsViaReusedRows += outReused[o];
+                            }
+                        }
+                    }
+                }
+
+                // The next stage sees this stage's settled outputs.
+                for (auto &v : vecs)
+                    v = flattenOutputs(nl, evaluate(nl, v));
+            }
+        }
+    }
+    // The differential only means something if late lanes occur, and
+    // some of them must reach the capture edge through arrival rows
+    // that earlier nodes of the same pass already used.
+    EXPECT_GT(errors, 0u);
+    EXPECT_GT(errorsViaReusedRows, 0u);
+}
+
+TEST(CompiledDta, CampaignInvariantAcrossLanesThreads)
+{
+    // Whole-campaign identity: every lane-width x thread combination
+    // accumulates byte-identical statistics (and so a byte-identical
+    // BER CSV) to the one-lane scalar oracle. kDtaShardOps ops/type
+    // fills exactly one shard, so the 256/512-lane cells genuinely
+    // form wide batches.
     auto &c = core();
     size_t pt = vr20Point();
     constexpr uint64_t kPerOp = kDtaShardOps;
 
-    auto run = [&](DtaBackend backend, unsigned lanes,
-                   unsigned threads) {
-        setDtaBackend(backend);
+    auto run = [&](unsigned lanes, unsigned threads) {
         setDtaLanes(lanes);
         ThreadPool pool(threads);
         Rng rng(42);
         auto stats = runRandomCampaign(c, pt, kPerOp, rng, &pool);
         setDtaLanes(0);
-        resetDtaBackend();
         return stats;
     };
 
-    auto ref = run(DtaBackend::Lane, 64, 1);
+    auto ref = run(1, 1);
     EXPECT_EQ(ref.totalOps(), kPerOp * fpu::kNumFpuOps);
     EXPECT_GT(ref.totalFaulty(), 0u);
 
     struct Config
     {
-        DtaBackend backend;
         unsigned lanes, threads;
     };
-    for (Config cfg : {Config{DtaBackend::Levelized, 64, 1},
-                       Config{DtaBackend::Lane, 64, 2},
-                       Config{DtaBackend::Compiled, 64, 1},
-                       Config{DtaBackend::Compiled, 256, 1},
-                       Config{DtaBackend::Compiled, 512, 1},
-                       Config{DtaBackend::Compiled, 512, 2}}) {
-        auto got = run(cfg.backend, cfg.lanes, cfg.threads);
+    for (Config cfg : {Config{1, 2}, Config{64, 1}, Config{64, 2},
+                       Config{256, 1}, Config{512, 1}, Config{512, 2}}) {
+        auto got = run(cfg.lanes, cfg.threads);
         char what[64];
-        std::snprintf(what, sizeof(what), "%s lanes=%u threads=%u",
-                      dtaBackendName(cfg.backend), cfg.lanes,
-                      cfg.threads);
+        std::snprintf(what, sizeof(what), "lanes=%u threads=%u",
+                      cfg.lanes, cfg.threads);
         expectIdenticalStats(got, ref, what);
     }
 }
@@ -441,13 +557,8 @@ TEST(CompiledDta, PortableFallbackCampaignCsvIdentical)
     size_t pt = vr20Point();
 
     auto run = [&] {
-        setDtaBackend(DtaBackend::Compiled);
-        setDtaLanes(CompiledDta::kMaxLanes);
         Rng rng(44);
-        auto stats = runRandomCampaign(c, pt, kDtaShardOps, rng);
-        setDtaLanes(0);
-        resetDtaBackend();
-        return stats;
+        return runRandomCampaign(c, pt, kDtaShardOps, rng);
     };
 
     simd::resetActiveIsa(); // best level the build + CPU support
@@ -459,62 +570,4 @@ TEST(CompiledDta, PortableFallbackCampaignCsvIdentical)
 
     EXPECT_GT(best.totalFaulty(), 0u);
     expectIdenticalStats(portable, best, "portable vs best ISA");
-}
-
-TEST(DtaBackendKnob, ParseNamesAndRejectJunk)
-{
-    DtaBackend b = DtaBackend::Lane;
-    EXPECT_TRUE(parseDtaBackend("levelized", b));
-    EXPECT_EQ(b, DtaBackend::Levelized);
-    EXPECT_TRUE(parseDtaBackend("lane", b));
-    EXPECT_EQ(b, DtaBackend::Lane);
-    EXPECT_TRUE(parseDtaBackend("compiled", b));
-    EXPECT_EQ(b, DtaBackend::Compiled);
-
-    b = DtaBackend::Compiled;
-    EXPECT_FALSE(parseDtaBackend("jit", b));
-    EXPECT_FALSE(parseDtaBackend("", b));
-    EXPECT_FALSE(parseDtaBackend("Lane ", b));
-    EXPECT_EQ(b, DtaBackend::Compiled); // junk leaves out untouched
-
-    EXPECT_STREQ(dtaBackendName(DtaBackend::Levelized), "levelized");
-    EXPECT_STREQ(dtaBackendName(DtaBackend::Lane), "lane");
-    EXPECT_STREQ(dtaBackendName(DtaBackend::Compiled), "compiled");
-}
-
-TEST(DtaBackendKnob, EnvResolvesLazilyAndHardensJunk)
-{
-    setenv("REPRO_DTA_BACKEND", "compiled", 1);
-    resetDtaBackend();
-    EXPECT_EQ(dtaBackend(), DtaBackend::Compiled);
-
-    // Malformed values warn and keep the default engine.
-    setenv("REPRO_DTA_BACKEND", "turbo", 1);
-    resetDtaBackend();
-    EXPECT_EQ(dtaBackend(), DtaBackend::Lane);
-
-    unsetenv("REPRO_DTA_BACKEND");
-    resetDtaBackend();
-    EXPECT_EQ(dtaBackend(), DtaBackend::Lane);
-
-    // setDtaBackend overrides whatever the env said.
-    setDtaBackend(DtaBackend::Levelized);
-    EXPECT_EQ(dtaBackend(), DtaBackend::Levelized);
-    resetDtaBackend();
-}
-
-TEST(DtaBackendKnob, LaneCeilingTracksBackend)
-{
-    // The lane ceiling is the active engine's: 64 for the default
-    // interpreter, 512 once the compiled backend is selected.
-    setDtaBackend(DtaBackend::Lane);
-    setDtaLanes(512);
-    EXPECT_EQ(dtaLanes(), LaneDta::kMaxLanes);
-    setDtaBackend(DtaBackend::Compiled);
-    setDtaLanes(512);
-    EXPECT_EQ(dtaLanes(), 512u);
-    setDtaLanes(4096); // above even the compiled ceiling
-    EXPECT_EQ(dtaLanes(), CompiledDta::kMaxLanes);
-    setDtaLanes(0);
-    resetDtaBackend();
 }

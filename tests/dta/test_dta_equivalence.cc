@@ -1,13 +1,14 @@
 /**
  * Cross-engine DTA equivalence suite (ctest label tier1dta).
  *
- * The contract under test: the bit-parallel lane engine, the scalar
+ * The contract under test: the compiled batched engine, the scalar
  * levelized engine, and the exact event-driven reference agree where
  * they must — mixed-op blocks on a shared unit included — and
  * campaigns, including unit-demultiplexed trace replays, produce
- * bit-identical statistics at every backend, lane width and thread
- * count. Also pins the float->double arrival precision fix and the
- * deterministic mask-pool reservoir.
+ * bit-identical statistics at every lane width and thread count, with
+ * one lane (the scalar LevelizedDta path) as the oracle. Also pins the
+ * float->double arrival precision fix and the deterministic mask-pool
+ * reservoir.
  */
 
 #include <gtest/gtest.h>
@@ -121,7 +122,7 @@ TEST(DtaEquivalence, EnginesAgreeOnSettledValues)
     DelayAnnotation annot(nl, CellLibrary::nangate45Like(), 1);
     EventDrivenDta exact(nl, annot, 1.3);
     LevelizedDta lev(nl, annot, 1.3);
-    LaneDta lane(nl, annot, 1.3);
+    CompiledDta comp(nl, annot, 1.3);
 
     Rng rng(40);
     for (int round = 0; round < 32; ++round) {
@@ -137,10 +138,11 @@ TEST(DtaEquivalence, EnginesAgreeOnSettledValues)
             pp[i] = prev[i] ? 1 : 0;
             cp[i] = cur[i] ? 1 : 0;
         }
-        const auto &rb = lane.runBatch(pp, cp, 1e9, 1);
+        const auto &rb = comp.runBatch(pp, cp, cp, 1e9, 1);
         for (size_t k = 0; k < re.settled.size(); ++k) {
             ASSERT_EQ(rl.settled[k], re.settled[k]);
             ASSERT_EQ(rb.settled[k] & 1, uint64_t{re.settled[k]});
+            ASSERT_EQ(rb.golden[k] & 1, uint64_t{re.settled[k]});
             // No error at an infinite capture time.
             ASSERT_EQ(rl.captured[k], rl.settled[k]);
             ASSERT_EQ(rb.captured[k] & 1, rb.settled[k] & 1);
@@ -158,7 +160,7 @@ TEST(DtaEquivalence, DeepChainArrivalMatchesExactReference)
     DelayAnnotation annot(nl, CellLibrary::nangate45Like(), 1);
     EventDrivenDta exact(nl, annot, 1.1);
     LevelizedDta lev(nl, annot, 1.1);
-    LaneDta lane(nl, annot, 1.1);
+    CompiledDta comp(nl, annot, 1.1);
 
     std::vector<bool> prev{false}, cur{true};
     auto re = exact.run(prev, cur, 1e12);
@@ -167,10 +169,12 @@ TEST(DtaEquivalence, DeepChainArrivalMatchesExactReference)
     EXPECT_DOUBLE_EQ(rl.maxArrivalPs, re.maxArrivalPs);
     // A capture edge inside the last gate delay separates float from
     // double: classify against the exact arrival. Here the chain is
-    // capture-risky, so the lane engine's arrival is exact too.
+    // capture-risky, so the compiled engine's arrival is exact too —
+    // computed through arrival rows reused ~1000 times along the chain.
     double edge = re.maxArrivalPs - 1e-9;
     auto rl2 = lev.run(prev, cur, edge);
-    const auto &rb2 = lane.runBatch({0}, {1}, edge, 1);
+    const auto &rb2 = comp.runBatch({0}, {1}, {1}, edge, 1);
+    ASSERT_LE(comp.program()->numArrivalRows, 3u);
     EXPECT_NE(rl2.captured[0], rl2.settled[0]);
     EXPECT_EQ((rb2.captured[0] ^ rb2.settled[0]) & 1, 1u);
     EXPECT_DOUBLE_EQ(rb2.maxArrivalPs[0], re.maxArrivalPs);
@@ -248,7 +252,7 @@ TEST(DtaEquivalence, RandomCampaignInvariantAcrossLanesAndThreads)
         ThreadPool pool(threads);
         Rng rng(42);
         auto stats = runRandomCampaign(c, pt, kPerOp, rng, &pool);
-        setDtaLanes(0); // back to REPRO_DTA_LANES
+        setDtaLanes(0); // back to the default width
         return stats;
     };
 
@@ -355,22 +359,11 @@ TEST(DtaEquivalence, MixedOpExecuteBatchMatchesSequentialExecute)
         faulty += e.timingError;
     EXPECT_GT(faulty, 0u);
 
-    struct Config
-    {
-        DtaBackend backend;
-        unsigned lanes;
-    };
-    for (Config cfg : {Config{DtaBackend::Lane, 64},
-                       Config{DtaBackend::Lane, 7},
-                       Config{DtaBackend::Compiled, 512},
-                       Config{DtaBackend::Levelized, 64}}) {
-        setDtaBackend(cfg.backend);
-        const auto got = blocked(cfg.lanes);
-        resetDtaBackend();
+    for (unsigned lanes : {64u, 7u, 512u, 1u}) {
+        const auto got = blocked(lanes);
         for (unsigned k = 0; k < ops.size(); ++k) {
             SCOPED_TRACE(testing::Message()
-                         << dtaBackendName(cfg.backend) << " lanes "
-                         << cfg.lanes << " op " << k);
+                         << "lanes " << lanes << " op " << k);
             ASSERT_EQ(got[k].golden, ref[k].golden);
             ASSERT_EQ(got[k].faulty, ref[k].faulty);
             ASSERT_EQ(got[k].errorMask, ref[k].errorMask);
@@ -387,7 +380,7 @@ TEST(DtaEquivalence, MixedOpExecuteBatchMatchesSequentialExecute)
                  "does not run on unit");
 }
 
-TEST(DtaEquivalence, TraceCampaignDemuxInvariantAcrossBackendLanesThreads)
+TEST(DtaEquivalence, TraceCampaignDemuxInvariantAcrossLanesThreads)
 {
     auto &c = core();
     size_t pt = vr30Point();
@@ -427,14 +420,11 @@ TEST(DtaEquivalence, TraceCampaignDemuxInvariantAcrossBackendLanesThreads)
         std::ifstream in(path, std::ios::binary);
         return std::string(std::istreambuf_iterator<char>(in), {});
     };
-    auto run = [&](DtaBackend backend, unsigned lanes,
-                   unsigned threads) {
-        setDtaBackend(backend);
+    auto run = [&](unsigned lanes, unsigned threads) {
         setDtaLanes(lanes);
         ThreadPool pool(threads);
         auto stats = runTraceCampaign(c, pt, trace, trace.size(), &pool);
         setDtaLanes(0);
-        resetDtaBackend();
         return stats;
     };
 
@@ -457,25 +447,18 @@ TEST(DtaEquivalence, TraceCampaignDemuxInvariantAcrossBackendLanesThreads)
     EXPECT_GT(ref.of(FpuOp::MulD).faulty, 0u);
     const std::string refBytes = bytes(ref);
 
-    for (DtaBackend backend : {DtaBackend::Levelized, DtaBackend::Lane,
-                               DtaBackend::Compiled}) {
-        std::vector<unsigned> widths{1, 2, 7, 64};
-        if (backend == DtaBackend::Compiled)
-            widths.push_back(CompiledDta::kMaxLanes);
-        for (unsigned lanes : widths) {
-            for (unsigned threads : {1u, 3u}) {
-                auto got = run(backend, lanes, threads);
-                char what[64];
-                std::snprintf(what, sizeof(what),
-                              "%s lanes=%u threads=%u",
-                              dtaBackendName(backend), lanes, threads);
-                expectIdenticalStats(got, ref, what);
-                std::string gotBytes = bytes(got);
-                EXPECT_TRUE(gotBytes.size() == refBytes.size() &&
-                            std::memcmp(gotBytes.data(), refBytes.data(),
-                                        refBytes.size()) == 0)
-                    << what;
-            }
+    for (unsigned lanes : {1u, 2u, 7u, 64u, CompiledDta::kMaxLanes}) {
+        for (unsigned threads : {1u, 3u}) {
+            auto got = run(lanes, threads);
+            char what[64];
+            std::snprintf(what, sizeof(what), "lanes=%u threads=%u",
+                          lanes, threads);
+            expectIdenticalStats(got, ref, what);
+            std::string gotBytes = bytes(got);
+            EXPECT_TRUE(gotBytes.size() == refBytes.size() &&
+                        std::memcmp(gotBytes.data(), refBytes.data(),
+                                    refBytes.size()) == 0)
+                << what;
         }
     }
     std::filesystem::remove_all(dir);
@@ -542,14 +525,13 @@ TEST(DtaReservoir, SealLoadedPoolPreservesOrder)
     EXPECT_EQ(s.maskKeys, (std::vector<uint64_t>{0, 1, 2}));
 }
 
-TEST(DtaLanes, EnvOverrideClampsAndRestores)
+TEST(DtaLanes, OverrideClampsAndRestores)
 {
-    setDtaLanes(200); // clamped to the engine maximum
-    EXPECT_EQ(dtaLanes(), LaneDta::kMaxLanes);
+    EXPECT_EQ(dtaLanes(), CompiledDta::kMaxLanes); // the default
+    setDtaLanes(4096); // clamped to the engine maximum
+    EXPECT_EQ(dtaLanes(), CompiledDta::kMaxLanes);
     setDtaLanes(7);
     EXPECT_EQ(dtaLanes(), 7u);
-    setDtaLanes(0); // back to the environment default
-    unsigned v = dtaLanes();
-    EXPECT_GE(v, 1u);
-    EXPECT_LE(v, LaneDta::kMaxLanes);
+    setDtaLanes(0); // back to the default
+    EXPECT_EQ(dtaLanes(), CompiledDta::kMaxLanes);
 }

@@ -228,6 +228,34 @@ TEST(FleetFormats, PlanRoundTripIsExact)
     EXPECT_EQ(parsed->leaseMs, 777);
 }
 
+TEST(FleetFormats, RetiredEngineKeyInPlanIsIgnored)
+{
+    // Plans from older versions carry a `dtabackend` line that picked
+    // a batched DTA engine. The daemon parses client plans verbatim,
+    // so any value — even one no engine ever had — must parse, must
+    // not abort characterization, and must not change its result.
+    FleetPlan plan{tinyOptions(""), tinySpec()};
+    const std::string current = plan.serialize();
+    EXPECT_EQ(current.find("dtabackend"), std::string::npos);
+    auto body = unsealBody(current);
+    ASSERT_TRUE(body.has_value());
+    const std::string legacyBody = *body + "dtabackend 3\n";
+
+    auto legacy = FleetPlan::parse(sealBody(legacyBody));
+    auto parsed = FleetPlan::parse(current);
+    ASSERT_TRUE(legacy.has_value());
+    ASSERT_TRUE(parsed.has_value());
+    EXPECT_EQ(legacy->serialize(), current);
+
+    auto daErrorRatio = [](const FleetPlan &p) {
+        Toolflow tf(p.opt);
+        return tf.daErrorRatio(p.opt.vrLevels.front());
+    };
+    const double er = daErrorRatio(*legacy);
+    EXPECT_EQ(er, daErrorRatio(*parsed));
+    EXPECT_GT(er, 0.0);
+}
+
 TEST(FleetFormats, UnitResultRoundTrip)
 {
     UnitResult r;
