@@ -67,15 +67,18 @@ if ! (cd "$root/build-san" && \
     echo "ci: multi-core determinism gate FAILED"
     exit 1
 fi
-# OoO timing-oracle gate, likewise named: the core pipeline's store
-# queue and busy set index fixed-size rings and multi-word bitsets, so
-# the pinned cycle/counter/output oracle (tests/sim, four ROB sizes)
-# runs under ASan+UBSan and under the regular build.
-echo "=== ci: OoO timing-oracle gate (ctest -L tier1sim) ==="
+# OoO timing-oracle and functional-oracle gate, likewise named: the
+# core pipeline's store queue and busy set index fixed-size rings and
+# multi-word bitsets, and the one functional simulator steps 1..N harts
+# through per-hart arrays, so the pinned cycle/counter/output oracle
+# (tests/sim, four ROB sizes) and the pinned functional oracle
+# (status, per-core counts, op-count/FP-trace/output CRCs at 1, 2 and
+# 4 cores) run under ASan+UBSan and under the regular build.
+echo "=== ci: OoO timing-oracle + functional-oracle gate (ctest -L tier1sim) ==="
 if ! (cd "$root/build-san" && \
       ASAN_OPTIONS="detect_leaks=0" ctest -L tier1sim --output-on-failure) \
    || ! (cd "$root/build" && ctest -L tier1sim --output-on-failure); then
-    echo "ci: OoO timing-oracle gate FAILED"
+    echo "ci: OoO timing-oracle + functional-oracle gate FAILED"
     exit 1
 fi
 # Batched-DTA identity gate, likewise named: WA/DA characterization
@@ -92,4 +95,4 @@ if ! (cd "$root/build-san" && \
     echo "ci: batched-DTA identity gate FAILED"
     exit 1
 fi
-echo "ci: OK (sanitizer, portable-SIMD, IS, multi-core, OoO oracle, batched-DTA green)"
+echo "ci: OK (sanitizer, portable-SIMD, IS, multi-core, OoO + functional oracle, batched-DTA green)"

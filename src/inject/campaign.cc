@@ -6,8 +6,6 @@
 #include <cstring>
 #include <limits>
 
-#include "isa/isa.hh"
-#include "mc/mc_func_sim.hh"
 #include "obs/metrics.hh"
 #include "obs/obs.hh"
 #include "obs/trace.hh"
@@ -216,80 +214,53 @@ countSimWork(const char *engine, uint64_t committed, uint64_t cycles)
 Error
 InjectionCampaign::prepare()
 {
-    if (workload_.threaded) {
-        try {
-            // Per-core profiles from the functional N-core run: model
-            // planning addresses "the n-th eligible op on core k", so
-            // each core needs its own dynamic op counts.
-            mc::McFuncSim::Config fcfg;
-            fcfg.cores = mcCfg_.cores;
-            mc::McFuncSim fsim(workload_.program, fcfg);
-            auto fres = fsim.run();
-            if (fres.status != mc::McFuncSim::Status::Halted)
-                return makeError(
-                    ErrorCode::GoldenRunFailed,
-                    "workload '%s' golden mc run did not halt (%s)",
-                    workload_.name.c_str(), sim::trapName(fres.trap));
-            coreProfiles_.assign(fsim.cores(), {});
-            profile_ = {};
-            for (unsigned k = 0; k < fsim.cores(); ++k) {
-                ProgramProfile &p = coreProfiles_[k];
-                p.totalInstructions = fsim.instructions(k);
-                for (unsigned i = 0; i < isa::kNumOps; ++i) {
-                    auto op = static_cast<isa::Op>(i);
-                    if (isa::hasDest(op))
-                        p.instructionsWithDest += fsim.opCount(k, op);
-                    if (isa::isFpArith(op))
-                        p.fpOpCounts[static_cast<size_t>(
-                            isa::fpuOpFor(op))] += fsim.opCount(k, op);
-                }
-                profile_.totalInstructions += p.totalInstructions;
-                profile_.instructionsWithDest += p.instructionsWithDest;
-                for (size_t j = 0; j < p.fpOpCounts.size(); ++j)
-                    profile_.fpOpCounts[j] += p.fpOpCounts[j];
-            }
-
-            // Timing/output reference from a golden detailed mc run.
-            mc::McSim msim(workload_.program, mcCfg_);
-            auto mres = msim.run(~0ULL);
-            countSimWork("mc", mres.committed, mres.cycles);
-            if (mres.status != mc::McSim::Status::Halted)
-                return makeError(
-                    ErrorCode::GoldenRunFailed,
-                    "workload '%s' golden McSim run did not halt",
-                    workload_.name.c_str());
-            goldenCycles_ = mres.cycles;
-            goldenSignature_ =
-                outputSignature(msim.memory(), msim.console());
-        } catch (const std::exception &e) {
-            return makeError(
-                ErrorCode::EngineFault,
-                "workload '%s' golden preparation faulted: %s",
-                workload_.name.c_str(), e.what());
-        }
-        return {};
-    }
     try {
-        // Profile from a fast functional run...
-        sim::FuncSim fsim(workload_.program);
+        // Per-core profiles from one functional run: model planning
+        // addresses "the n-th eligible op on core k", so each core
+        // needs its own dynamic op counts. A single-core workload is
+        // one core.
+        sim::FuncSim::Config fcfg;
+        fcfg.cores = workload_.threaded ? mcCfg_.cores : 1;
+        sim::FuncSim fsim(workload_.program, fcfg);
         auto fres = fsim.run();
         if (fres.status != sim::FuncSim::Status::Halted)
             return makeError(ErrorCode::GoldenRunFailed,
                              "workload '%s' golden run did not halt (%s)",
                              workload_.name.c_str(),
                              sim::trapName(fres.trap));
-        profile_ = ProgramProfile::fromFuncSim(fsim, fres.instructions);
+        coreProfiles_.clear();
+        profile_ = {};
+        for (unsigned k = 0; k < fsim.cores(); ++k) {
+            coreProfiles_.push_back(ProgramProfile::fromFuncSim(fsim, k));
+            profile_ += coreProfiles_.back();
+        }
 
-        // ...and the timing/output reference from a golden detailed run.
-        OooSim osim(workload_.program, cfg_);
-        auto ores = osim.run(~0ULL);
-        countSimWork("ooo", ores.committed, ores.cycles);
-        if (ores.status != OooSim::Status::Halted)
+        // ...and the timing/output reference from a golden cycle-level
+        // run: McSim's shared L2 makes even one of its cores a
+        // different machine from OooSim, so the two stay apart.
+        bool halted = false;
+        if (workload_.threaded) {
+            mc::McSim msim(workload_.program, mcCfg_);
+            auto mres = msim.run(~0ULL);
+            countSimWork("mc", mres.committed, mres.cycles);
+            halted = mres.status == mc::McSim::Status::Halted;
+            goldenCycles_ = mres.cycles;
+            goldenSignature_ =
+                outputSignature(msim.memory(), msim.console());
+        } else {
+            OooSim osim(workload_.program, cfg_);
+            auto ores = osim.run(~0ULL);
+            countSimWork("ooo", ores.committed, ores.cycles);
+            halted = ores.status == OooSim::Status::Halted;
+            goldenCycles_ = ores.cycles;
+            goldenSignature_ =
+                outputSignature(osim.memory(), osim.console());
+        }
+        if (!halted)
             return makeError(ErrorCode::GoldenRunFailed,
-                             "workload '%s' golden OoO run did not halt",
-                             workload_.name.c_str());
-        goldenCycles_ = ores.cycles;
-        goldenSignature_ = outputSignature(osim.memory(), osim.console());
+                             "workload '%s' golden %s run did not halt",
+                             workload_.name.c_str(),
+                             workload_.threaded ? "McSim" : "OoO");
     } catch (const std::exception &e) {
         return makeError(ErrorCode::EngineFault,
                          "workload '%s' golden preparation faulted: %s",
@@ -314,16 +285,16 @@ InjectionCampaign::outputSignature(const sim::Memory &mem,
     return sig;
 }
 
-InjectionCampaign::RunRecord
-InjectionCampaign::executeOneMc(const ErrorModel &model, Rng &rng,
-                                const Watchdog *watchdog) const
+std::vector<sim::InjectionPlan>
+InjectionCampaign::planRun(const ErrorModel &model, Rng &rng,
+                           double &logWeight) const
 {
     // Plan per core, in core-major order on the one run substream, so
-    // the whole multi-core plan is a deterministic function of the run
-    // index. Each event is stamped with its core: "the n-th eligible
-    // op on core k". The run's weight is the product (log-sum) of the
+    // the whole plan is a deterministic function of the run index.
+    // Each event is stamped with its core: "the n-th eligible op on
+    // core k". The run's weight is the product (log-sum) of the
     // per-core plan weights.
-    double logWeight = 0.0;
+    logWeight = 0.0;
     std::vector<sim::InjectionPlan> plans;
     plans.reserve(coreProfiles_.size());
     for (unsigned k = 0; k < coreProfiles_.size(); ++k) {
@@ -334,6 +305,14 @@ InjectionCampaign::executeOneMc(const ErrorModel &model, Rng &rng,
         logWeight += lw;
         plans.emplace_back(events);
     }
+    return plans;
+}
+
+InjectionCampaign::RunRecord
+InjectionCampaign::executeOneMc(std::vector<sim::InjectionPlan> plans,
+                                double logWeight,
+                                const Watchdog *watchdog) const
+{
     mc::McSim sim(workload_.program, mcCfg_, std::move(plans));
     auto res = sim.run(2 * goldenCycles_, watchdog);
     countSimWork("mc", res.committed, res.cycles);
@@ -419,11 +398,11 @@ InjectionCampaign::RunRecord
 InjectionCampaign::executeOne(const ErrorModel &model, Rng &rng,
                               const Watchdog *watchdog) const
 {
-    if (workload_.threaded)
-        return executeOneMc(model, rng, watchdog);
     double logWeight = 0.0;
-    auto events = model.planWeighted(profile_, rng, logWeight);
-    OooSim sim(workload_.program, cfg_, sim::InjectionPlan(events));
+    std::vector<sim::InjectionPlan> plans = planRun(model, rng, logWeight);
+    if (workload_.threaded)
+        return executeOneMc(std::move(plans), logWeight, watchdog);
+    OooSim sim(workload_.program, cfg_, std::move(plans[0]));
     auto res = sim.run(2 * goldenCycles_, watchdog);
     countSimWork("ooo", res.committed, res.cycles);
     RunRecord rec;
@@ -521,6 +500,74 @@ InjectionCampaign::run(const ErrorModel &model, int runs, Rng &rng,
     return run(model, runs, rng, opts);
 }
 
+namespace {
+
+/** Registry handles every dispatched run reports to. */
+struct RunMetrics
+{
+    obs::Counter replays;
+    obs::Counter cancelled;
+    obs::Histogram runMs;
+};
+
+RunMetrics
+runMetrics()
+{
+    // Observation only: counters/histograms never feed back into run
+    // scheduling, RNG streams, or the ordered aggregation.
+    obs::Registry &reg = obs::Registry::global();
+    return RunMetrics{
+        reg.counter(
+            obs::metric::kInjectReplays, "",
+            "injection runs satisfied from a journal instead of simulated"),
+        reg.counter(obs::metric::kWatchdogCancelled, "",
+                    "runs abandoned because a cancellation was requested"),
+        reg.histogram(obs::metric::kInjectRunMs, obs::latencyBucketsMs(),
+                      "", "wall time of one contained injection run"),
+    };
+}
+
+enum class RunFate
+{
+    Skipped,  ///< cancelled before or during execution
+    Replayed, ///< filled from the journal, nothing executed
+    Executed, ///< freshly executed and reported to onComplete
+};
+
+/**
+ * The one per-run body of run() and runRange(): replay run i, or
+ * execute it contained under an `inject.run` span, time it and report
+ * it. `rec` receives the replayed or executed record.
+ */
+RunFate
+runIndexed(const InjectionCampaign &campaign, const ErrorModel &model,
+           const Rng &base, uint64_t i,
+           const InjectionCampaign::RunOptions &opts,
+           const RunMetrics &metrics, InjectionCampaign::RunRecord &rec)
+{
+    if (opts.cancel && opts.cancel->cancelled())
+        return RunFate::Skipped;
+    if (opts.replay && opts.replay(i, rec)) {
+        metrics.replays.inc(1);
+        return RunFate::Replayed;
+    }
+    obs::Span runSpan("inject.run", "inject", static_cast<int64_t>(i));
+    auto t0 = std::chrono::steady_clock::now();
+    rec = campaign.executeOneContained(model, base, i, opts);
+    metrics.runMs.observe(std::chrono::duration<double, std::milli>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count());
+    if (rec.fault == ErrorCode::Cancelled) {
+        metrics.cancelled.inc(1);
+        return RunFate::Skipped; // shutdown mid-run: leave it for the resume
+    }
+    if (opts.onComplete)
+        opts.onComplete(i, rec);
+    return RunFate::Executed;
+}
+
+} // namespace
+
 uint64_t
 InjectionCampaign::runRange(const ErrorModel &model, uint64_t lo,
                             uint64_t hi, Rng &rng,
@@ -533,33 +580,14 @@ InjectionCampaign::runRange(const ErrorModel &model, uint64_t lo,
     if (hi <= lo)
         return 0;
     std::atomic<uint64_t> executed{0};
-    obs::Registry &reg = obs::Registry::global();
-    obs::Counter mReplays = reg.counter(
-        obs::metric::kInjectReplays, "",
-        "injection runs satisfied from a journal instead of simulated");
-    obs::Histogram mRunMs = reg.histogram(
-        obs::metric::kInjectRunMs, obs::latencyBucketsMs(), "",
-        "wall time of one contained injection run");
+    const RunMetrics metrics = runMetrics();
     obs::Span span("inject.range", "inject",
                    static_cast<int64_t>(hi - lo));
     tp.parallelFor(lo, hi, [&](uint64_t i, unsigned) {
-        if (opts.cancel && opts.cancel->cancelled())
-            return;
         RunRecord rec;
-        if (opts.replay && opts.replay(i, rec)) {
-            mReplays.inc(1);
-            return;
-        }
-        auto t0 = std::chrono::steady_clock::now();
-        rec = executeOneContained(model, base, i, opts);
-        mRunMs.observe(std::chrono::duration<double, std::milli>(
-                           std::chrono::steady_clock::now() - t0)
-                           .count());
-        if (rec.fault == ErrorCode::Cancelled)
-            return; // shutdown mid-run: leave it for the resume
-        executed.fetch_add(1, std::memory_order_relaxed);
-        if (opts.onComplete)
-            opts.onComplete(i, rec);
+        if (runIndexed(*this, model, base, i, opts, metrics, rec) ==
+            RunFate::Executed)
+            executed.fetch_add(1, std::memory_order_relaxed);
     });
     return executed.load();
 }
@@ -574,45 +602,15 @@ InjectionCampaign::run(const ErrorModel &model, int runs, Rng &rng,
     std::vector<RunRecord> records(n);
     std::vector<uint8_t> done(n, 0);
 
-    // Observation only: counters/histograms never feed back into run
-    // scheduling, RNG streams, or the ordered aggregation below.
     obs::Registry &reg = obs::Registry::global();
-    obs::Counter mReplays = reg.counter(
-        obs::metric::kInjectReplays, "",
-        "injection runs satisfied from a journal instead of simulated");
-    obs::Counter mCancelled = reg.counter(
-        obs::metric::kWatchdogCancelled, "",
-        "runs abandoned because a cancellation was requested");
-    obs::Histogram mRunMs = reg.histogram(
-        obs::metric::kInjectRunMs, obs::latencyBucketsMs(), "",
-        "wall time of one contained injection run");
-
+    const RunMetrics metrics = runMetrics();
     obs::Span campaignSpan("inject.campaign", "inject",
                            static_cast<int64_t>(n));
     auto executeRange = [&](uint64_t begin, uint64_t end) {
         tp.parallelFor(begin, end, [&](uint64_t i, unsigned) {
-            if (opts.cancel && opts.cancel->cancelled())
-                return;
-            if (opts.replay && opts.replay(i, records[i])) {
+            if (runIndexed(*this, model, base, i, opts, metrics,
+                           records[i]) != RunFate::Skipped)
                 done[i] = 1;
-                mReplays.inc(1);
-                return;
-            }
-            obs::Span runSpan("inject.run", "inject",
-                              static_cast<int64_t>(i));
-            auto t0 = std::chrono::steady_clock::now();
-            RunRecord rec = executeOneContained(model, base, i, opts);
-            mRunMs.observe(std::chrono::duration<double, std::milli>(
-                               std::chrono::steady_clock::now() - t0)
-                               .count());
-            if (rec.fault == ErrorCode::Cancelled) {
-                mCancelled.inc(1);
-                return; // shutdown mid-run: leave it for the resume
-            }
-            records[i] = rec;
-            done[i] = 1;
-            if (opts.onComplete)
-                opts.onComplete(i, records[i]);
         });
     };
 

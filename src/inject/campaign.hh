@@ -349,8 +349,14 @@ class InjectionCampaign
     /** Golden functional + detailed runs; the recoverable ctor body. */
     Error prepare();
 
+    /** One run's per-core injection plans and their log weight. */
+    std::vector<sim::InjectionPlan> planRun(const models::ErrorModel &model,
+                                            Rng &rng,
+                                            double &logWeight) const;
+
     /** executeOne's multi-core path (threaded workloads). */
-    RunRecord executeOneMc(const models::ErrorModel &model, Rng &rng,
+    RunRecord executeOneMc(std::vector<sim::InjectionPlan> plans,
+                           double logWeight,
                            const Watchdog *watchdog) const;
 
     /** Capture the checked output state of a finished simulation. */
@@ -360,8 +366,10 @@ class InjectionCampaign
     workloads::Workload workload_;
     sim::OooConfig cfg_;
     mc::McConfig mcCfg_;
+    /** Sum of coreProfiles_. */
     models::ProgramProfile profile_;
-    /** Per-core profiles (threaded only): plan "core k's n-th op". */
+    /** Per-core profiles (one for single-core workloads): planning
+     *  addresses "core k's n-th op". */
     std::vector<models::ProgramProfile> coreProfiles_;
     uint64_t goldenCycles_ = 0;
     std::vector<uint8_t> goldenSignature_;

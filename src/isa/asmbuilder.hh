@@ -133,7 +133,7 @@ class AsmBuilder
     void halt() { emit(Op::HALT); }
     void nop() { emit(Op::NOP); }
 
-    // ---- multi-core ABI (no-ops on the single-core simulators) ----
+    // ---- multi-core ABI (no-ops on OooSim) ----
     /** Start the lowest parked core at the code address in x[rs1]. */
     void spawn(uint8_t rs1) { emit(Op::ECALL, 0, rs1, 0, 3); }
     /** Stall until every spawned core has halted. */

@@ -69,8 +69,8 @@ enum class Syscall : int
 {
     PrintInt = 1, ///< append x[rs1] to the console stream
     PrintFp = 2,  ///< append raw bits of f[rs1] to the console stream
-    // Multi-core ABI (executed non-speculatively at commit; no-ops on
-    // the single-core functional/OoO simulators).
+    // Multi-core ABI (sim/sync_hub.hh; executed non-speculatively at
+    // commit; no-ops on OooSim).
     Spawn = 3,   ///< start the lowest parked core at code addr x[rs1]
     Join = 4,    ///< stall until every spawned core has halted
     Barrier = 5, ///< stall until all running cores arrive

@@ -26,10 +26,10 @@ constexpr uint64_t kStackSize = 0x100000;    ///< 1 MiB mapped
 
 /**
  * Multi-core control page: a read-only page below the data segment
- * that the multi-core simulator (src/mc) maps per core, so one SPMD
- * program image can ask "who am I / how many of us are there". Loads
- * from it hit the single-core simulators as plain unmapped memory —
- * single-core programs simply never touch it.
+ * that the functional simulator and McSim map per core
+ * (sim/sync_hub.hh), so one SPMD program image can ask "who am I /
+ * how many of us are there". Loads from it hit OooSim as plain
+ * unmapped memory — single-core programs simply never touch it.
  */
 constexpr uint64_t kMcCtrlBase = 0xF0000;
 constexpr uint64_t kMcCtrlSize = 0x1000;

@@ -1,106 +1,18 @@
 /**
  * @file
- * Functional N-core interpreter.
- *
- * The multi-core analogue of FuncSim: architectural execution only, a
- * fixed one-instruction round-robin interleave over active cores, and
- * full spawn/join/barrier + control-page semantics. Used for golden
- * profiles (per-core dynamic op counts feed per-core injection
- * planning) and for merged FP operand traces (workload-aware model).
- * Stalled syscall retries are not counted as instructions, so the
- * per-core counts match what each core architecturally executes.
+ * The N-core functional simulator is `sim::FuncSim` with
+ * `Config::cores` > 1; this name stays for callers that spell it the
+ * multi-core way.
  */
 
 #ifndef TEA_MC_MC_FUNC_SIM_HH
 #define TEA_MC_MC_FUNC_SIM_HH
 
-#include <array>
-#include <cstdint>
-#include <vector>
-
-#include "isa/program.hh"
 #include "sim/func_sim.hh"
-#include "sim/memory.hh"
-#include "sim/sim_types.hh"
 
 namespace tea::mc {
 
-class McFuncSim
-{
-  public:
-    struct Config
-    {
-        unsigned cores = 2; ///< clamped to [1, isa::kMcMaxCores]
-        bool trapOnSevereFp = true;
-        uint64_t maxInstructions = 2'000'000'000ULL;
-    };
-
-    McFuncSim(isa::Program prog, Config cfg);
-
-    enum class Status
-    {
-        Halted,
-        Trapped,
-        LimitReached,
-        Deadlock, ///< every runnable core stalled on a syscall
-    };
-
-    struct Result
-    {
-        Status status;
-        sim::TrapKind trap;
-        int trapCore;
-        uint64_t instructions; ///< total across cores
-    };
-
-    Result run();
-
-    /** Optional merged FP trace sink, in interleave order. */
-    void setFpTrace(std::vector<sim::FpTraceEntry> *sink)
-    {
-        fpTrace_ = sink;
-    }
-
-    unsigned cores() const { return cfg_.cores; }
-    const sim::Memory &memory() const { return mem_; }
-    const sim::Console &console() const { return console_; }
-    uint64_t instructions(unsigned core) const
-    {
-        return cores_[core].instructions;
-    }
-    uint64_t opCount(unsigned core, isa::Op op) const
-    {
-        return cores_[core].opCounts[static_cast<size_t>(op)];
-    }
-
-  private:
-    struct Core
-    {
-        std::array<uint64_t, 32> xreg{};
-        std::array<uint64_t, 32> freg{};
-        uint64_t idx = 0;
-        bool running = false;
-        bool halted = false;
-        uint64_t instructions = 0;
-        std::array<uint64_t, isa::kNumOps> opCounts{};
-    };
-
-    enum class StepOut { Advanced, Stalled, Halted, Trapped };
-    StepOut stepCore(unsigned k, sim::TrapKind &trap);
-
-    isa::Program prog_;
-    Config cfg_;
-    sim::Memory mem_;
-    sim::Console console_;
-    std::vector<Core> cores_;
-    std::vector<sim::FpTraceEntry> *fpTrace_ = nullptr;
-
-    // Barrier state (same scheme as McSim's hub).
-    std::vector<uint64_t> barPhase_;
-    std::vector<uint8_t> inBarrier_;
-    uint64_t barGlobalPhase_ = 0;
-    unsigned barArrived_ = 0;
-};
+using McFuncSim = sim::FuncSim;
 
 } // namespace tea::mc
 

@@ -6,6 +6,7 @@
 
 #include "sim/memory.hh"
 #include "sim/pipeline.hh"
+#include "sim/sync_hub.hh"
 #include "util/logging.hh"
 
 namespace tea::mc {
@@ -87,13 +88,8 @@ struct McSim::Impl
     TaintMap taint;
     CoherenceStats coh;
 
-    // Scheduler / sync-hub state.
-    std::vector<uint8_t> active; ///< stepping (core 0 until HALT)
-    // Barrier: per-core passed-phase vs. globally released phase.
-    std::vector<uint64_t> barPhase;
-    std::vector<uint8_t> inBarrier;
-    uint64_t barGlobalPhase = 0;
-    unsigned barArrived = 0;
+    /** Which cores step (core 0 until HALT) and the barrier state. */
+    sim::SyncHub sync;
 
     /** Port for one core: ctrl page, coherent loads/stores, syscalls. */
     struct McPort final : CorePort
@@ -103,22 +99,11 @@ struct McSim::Impl
 
         McPort(Impl &impl, unsigned coreId) : m(impl), core(coreId) {}
 
-        static bool inCtrl(uint64_t addr, unsigned size)
-        {
-            return addr >= isa::kMcCtrlBase &&
-                   addr + size <= isa::kMcCtrlBase + isa::kMcCtrlSize;
-        }
-
         LoadResult load(uint64_t addr, unsigned size) override
         {
-            if (inCtrl(addr, size)) {
-                uint64_t v = 0;
-                if (addr == isa::kMcCtrlCoreId)
-                    v = core;
-                else if (addr == isa::kMcCtrlNumCores)
-                    v = m.cfg.cores;
-                return {v, m.cfg.core.latCacheHit, 0};
-            }
+            if (sim::inCtrlPage(addr, size))
+                return {sim::ctrlPageRead(addr, core, m.cfg.cores),
+                        m.cfg.core.latCacheHit, 0};
             unsigned lat = m.loadLatency(core, addr);
             return {m.mem.read(addr, size), lat, m.taint.get(addr)};
         }
@@ -135,7 +120,7 @@ struct McSim::Impl
         bool mapped(uint64_t addr, unsigned size,
                     bool isStore) const override
         {
-            if (inCtrl(addr, size))
+            if (sim::inCtrlPage(addr, size))
                 return !isStore; // control page is read-only
             return m.mem.isMapped(addr, size);
         }
@@ -150,7 +135,7 @@ struct McSim::Impl
          std::vector<sim::InjectionPlan> plans)
         : prog(p), cfg(c),
           l2(c.l2Sets, c.l2Ways, c.core.l1LineBytes),
-          dir(c.core.l1LineBytes)
+          dir(c.core.l1LineBytes), sync(c.cores)
     {
         mem.loadProgram(prog);
         plans.resize(cfg.cores);
@@ -164,24 +149,6 @@ struct McSim::Impl
             pipes.push_back(std::make_unique<CorePipeline>(
                 prog, cfg.core, std::move(plans[k]), *ports[k], k));
         }
-        active.assign(cfg.cores, 0);
-        active[0] = 1; // workers park until spawned
-        barPhase.assign(cfg.cores, 0);
-        inBarrier.assign(cfg.cores, 0);
-    }
-
-    uint64_t stackFor(unsigned core) const
-    {
-        return isa::kStackTop - 64 -
-               static_cast<uint64_t>(core) * isa::kMcStackBytes;
-    }
-
-    unsigned numActive() const
-    {
-        unsigned n = 0;
-        for (uint8_t a : active)
-            n += a;
-        return n;
     }
 
     // ---- coherence timing --------------------------------------------
@@ -240,55 +207,30 @@ struct McSim::Impl
             return CorePort::Sys::Proceed;
           case Syscall::Spawn: {
             ++coh.spawns;
-            if (arg < isa::kCodeBase || (arg & 3) ||
-                (arg - isa::kCodeBase) / 4 >= prog.code.size()) {
-                trap = TrapKind::SyncFault;
-                return CorePort::Sys::Fault;
-            }
-            int target = -1;
-            for (unsigned k = 1; k < cfg.cores; ++k) {
-                if (!active[k]) {
-                    target = static_cast<int>(k);
-                    break;
-                }
-            }
+            // A bad target, or nothing left to spawn onto (a corrupted
+            // spawn loop): a real runtime would abort here too.
+            int target = sync.spawn(arg, prog.code.size());
             if (target < 0) {
-                // Nothing left to spawn onto (or a corrupted spawn
-                // loop): a real runtime would abort here too.
                 trap = TrapKind::SyncFault;
                 return CorePort::Sys::Fault;
             }
-            pipes[target]->restart((arg - isa::kCodeBase) / 4,
-                                   stackFor(target));
-            active[target] = 1;
+            pipes[target]->restart(
+                (arg - isa::kCodeBase) / 4,
+                sim::hartStackTop(static_cast<unsigned>(target)));
             return CorePort::Sys::Proceed;
           }
-          case Syscall::Join: {
-            for (unsigned k = 1; k < cfg.cores; ++k)
-                if (active[k])
-                    return CorePort::Sys::Stall;
+          case Syscall::Join:
+            if (!sync.joinReady())
+                return CorePort::Sys::Stall;
             ++coh.joins;
             return CorePort::Sys::Proceed;
-          }
           case Syscall::Barrier: {
-            if (barPhase[core] < barGlobalPhase) {
-                // Released while this core was stalled.
-                ++barPhase[core];
-                return CorePort::Sys::Proceed;
-            }
-            if (!inBarrier[core]) {
-                inBarrier[core] = 1;
-                ++barArrived;
-            }
-            if (barArrived >= numActive()) {
-                ++barGlobalPhase;
-                barArrived = 0;
-                std::fill(inBarrier.begin(), inBarrier.end(), 0);
-                ++barPhase[core];
+            auto step = sync.barrier(core);
+            if (step == sim::SyncHub::Barrier::Stall)
+                return CorePort::Sys::Stall;
+            if (step == sim::SyncHub::Barrier::Release)
                 ++coh.barriers;
-                return CorePort::Sys::Proceed;
-            }
-            return CorePort::Sys::Stall;
+            return CorePort::Sys::Proceed;
           }
           default:
             return CorePort::Sys::Proceed;
@@ -342,7 +284,7 @@ McSim::run(uint64_t maxCycles, const Watchdog *watchdog)
 
     while (!done) {
         for (unsigned k = 0; k < m.cfg.cores && !done; ++k) {
-            if (!m.active[k])
+            if (!m.sync.running(k))
                 continue;
             for (unsigned q = 0; q < m.cfg.quantum; ++q) {
                 if (watchdog && (steps & kPollMask) == 0) {
@@ -375,7 +317,7 @@ McSim::run(uint64_t maxCycles, const Watchdog *watchdog)
                         res.status = Status::Halted;
                         done = true;
                     } else {
-                        m.active[k] = 0; // park until next spawn
+                        m.sync.park(k); // until the next spawn
                     }
                     break;
                 }

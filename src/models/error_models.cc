@@ -29,20 +29,29 @@ modelKindName(ModelKind kind)
 }
 
 ProgramProfile
-ProgramProfile::fromFuncSim(const sim::FuncSim &sim,
-                            uint64_t totalInstructions)
+ProgramProfile::fromFuncSim(const sim::FuncSim &sim, unsigned core)
 {
     ProgramProfile p;
-    p.totalInstructions = totalInstructions;
+    p.totalInstructions = sim.instructions(core);
     for (unsigned i = 0; i < isa::kNumOps; ++i) {
         auto op = static_cast<isa::Op>(i);
         if (isa::hasDest(op))
-            p.instructionsWithDest += sim.opCount(op);
+            p.instructionsWithDest += sim.opCount(core, op);
         if (isa::isFpArith(op))
             p.fpOpCounts[static_cast<size_t>(isa::fpuOpFor(op))] +=
-                sim.opCount(op);
+                sim.opCount(core, op);
     }
     return p;
+}
+
+ProgramProfile &
+ProgramProfile::operator+=(const ProgramProfile &other)
+{
+    totalInstructions += other.totalInstructions;
+    instructionsWithDest += other.instructionsWithDest;
+    for (size_t i = 0; i < fpOpCounts.size(); ++i)
+        fpOpCounts[i] += other.fpOpCounts[i];
+    return *this;
 }
 
 // ---------------------------------------------------------------------

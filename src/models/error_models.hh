@@ -46,8 +46,11 @@ struct ProgramProfile
     uint64_t instructionsWithDest = 0;
     std::array<uint64_t, fpu::kNumFpuOps> fpOpCounts{};
 
+    /** Hart `core`'s profile from a finished functional run. */
     static ProgramProfile fromFuncSim(const sim::FuncSim &sim,
-                                      uint64_t totalInstructions);
+                                      unsigned core);
+
+    ProgramProfile &operator+=(const ProgramProfile &other);
 };
 
 class ErrorModel

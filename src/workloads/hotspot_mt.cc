@@ -12,8 +12,9 @@
  * lockstep. Workers halt after the loop; core 0 joins and prints the
  * hot-region checksum.
  *
- * Requires mc::McSim / mc::McFuncSim (control page + spawn ABI); the
- * single-core simulators fault on the control-page load.
+ * Requires the multi-core ABI (control page + spawn): sim::FuncSim at
+ * any core count and mc::McSim run it; OooSim faults on the
+ * control-page load.
  */
 
 #include "isa/asmbuilder.hh"

@@ -35,9 +35,8 @@ struct Workload
     std::vector<std::string> outputSymbols;
     /**
      * True for the "-mt" variants that use the spawn/join/barrier ABI
-     * and the per-core control page; they require the multi-core
-     * simulators (mc::McSim / mc::McFuncSim) and trap on the
-     * single-core ones.
+     * and the per-core control page; they run on sim::FuncSim (any
+     * core count) and mc::McSim, and trap on OooSim.
      */
     bool threaded = false;
 };

@@ -219,6 +219,81 @@ TEST(EventDrivenDta, DelayScaleShiftsFailurePoint)
     EXPECT_TRUE(scaled.run(prev, cur, capture).anyError());
 }
 
+TEST(EventDrivenDta, SensitizedPathPastCaptureEdgeIsAnError)
+{
+    // x runs through a chain of six buffers into AND(chain, en). With
+    // en = 1 the chain is the one sensitized path, and a rising x
+    // reaches the output exactly at clk-to-Q plus the path's delays:
+    // a capture edge 1 ps before that latches the stale 0, 1 ps after
+    // it the new 1. With en = 0 the same transition is masked.
+    Netlist nl("chain");
+    NetId x = nl.addInput("x");
+    NetId en = nl.addInput("en");
+    std::vector<NetId> path;
+    NetId n = x;
+    for (int i = 0; i < 6; ++i)
+        path.push_back(n = nl.addGate(CellKind::Buf, n));
+    path.push_back(n = nl.addGate(CellKind::And2, n, en));
+    nl.addOutputBus("y", Bus{n});
+    auto lib = CellLibrary::nangate45Like();
+    DelayAnnotation annot(nl, lib, 3);
+    double arrival = lib.clkToQPs;
+    for (NetId id : path)
+        arrival += annot.delayPs(id);
+
+    EventDrivenDta exact(nl, annot);
+    LevelizedDta fast(nl, annot);
+    std::vector<bool> prev{false, true}, cur{true, true};
+    for (DtaEngine *dta : {static_cast<DtaEngine *>(&exact),
+                           static_cast<DtaEngine *>(&fast)}) {
+        auto late = dta->run(prev, cur, arrival - 1.0);
+        EXPECT_TRUE(late.settled[0]);
+        EXPECT_FALSE(late.captured[0]);
+        EXPECT_EQ(late.errorMask64(), 1u);
+        EXPECT_DOUBLE_EQ(late.maxArrivalPs, arrival);
+        EXPECT_FALSE(dta->run(prev, cur, arrival + 1.0).anyError());
+    }
+
+    auto masked = exact.run({false, false}, {true, false}, 0.0);
+    EXPECT_FALSE(masked.anyError());
+    EXPECT_EQ(masked.maxArrivalPs, 0.0);
+}
+
+TEST(EventDrivenDta, CatchesGlitchTheLevelizedEngineMisses)
+{
+    // y = x XOR delay(x): a rising x leaves y at 0, but y pulses to 1
+    // between the XOR's direct-input arrival and the delayed copy's.
+    // A capture edge inside the pulse latches the glitch — an error
+    // the hazard-blind levelized engine cannot see, because y's old
+    // and new values agree.
+    Netlist nl("glitch");
+    NetId x = nl.addInput("x");
+    NetId d = x;
+    double chain = 0.0;
+    std::vector<NetId> bufs;
+    for (int i = 0; i < 4; ++i)
+        bufs.push_back(d = nl.addGate(CellKind::Buf, d));
+    NetId y = nl.addGate(CellKind::Xor2, x, d);
+    nl.addOutputBus("y", Bus{y});
+    auto lib = CellLibrary::nangate45Like();
+    DelayAnnotation annot(nl, lib, 5);
+    for (NetId id : bufs)
+        chain += annot.delayPs(id);
+    double rise = lib.clkToQPs + annot.delayPs(y);
+    double capture = rise + chain / 2;
+
+    EventDrivenDta exact(nl, annot);
+    LevelizedDta fast(nl, annot);
+    auto re = exact.run({false}, {true}, capture);
+    EXPECT_FALSE(re.settled[0]);
+    EXPECT_TRUE(re.captured[0]);
+    EXPECT_TRUE(re.anyError());
+    EXPECT_DOUBLE_EQ(re.maxArrivalPs, rise + chain);
+    auto rl = fast.run({false}, {true}, capture);
+    EXPECT_FALSE(rl.anyError());
+    EXPECT_EQ(rl.maxArrivalPs, 0.0);
+}
+
 TEST(LevelizedDta, MatchesExactOnSettledValues)
 {
     AdderFixture f;

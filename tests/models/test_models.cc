@@ -2,6 +2,7 @@
 
 #include <cstdio>
 
+#include "isa/asmbuilder.hh"
 #include "models/error_models.hh"
 
 using namespace tea;
@@ -143,9 +144,43 @@ TEST(Models, KindsAndNames)
 
 TEST(Models, ProfileFromFuncSim)
 {
-    // Covered more fully in the inject tests; here just the shape.
-    ProgramProfile p;
-    EXPECT_EQ(p.totalInstructions, 0u);
+    // Hart 0 spawns a worker: each hart's profile counts only the ops
+    // that hart retired, and the per-core profiles add up to the run.
+    isa::AsmBuilder b("profile");
+    auto worker = b.newLabel();
+    b.laCode(5, worker);
+    b.spawn(5);
+    b.fadd_d(1, 1, 1);
+    b.join();
+    b.halt();
+    b.bind(worker);
+    b.fmul_d(2, 2, 2);
+    b.fmul_d(2, 2, 2);
+    b.halt();
+    sim::FuncSim::Config cfg;
+    cfg.cores = 2;
+    sim::FuncSim fsim(b.build(), cfg);
+    auto r = fsim.run();
+    ASSERT_EQ(r.status, sim::FuncSim::Status::Halted);
+
+    auto at = [](const ProgramProfile &p, FpuOp op) {
+        return p.fpOpCounts[static_cast<size_t>(op)];
+    };
+    ProgramProfile p0 = ProgramProfile::fromFuncSim(fsim, 0);
+    ProgramProfile p1 = ProgramProfile::fromFuncSim(fsim, 1);
+    EXPECT_EQ(at(p0, FpuOp::AddD), 1u);
+    EXPECT_EQ(at(p0, FpuOp::MulD), 0u);
+    EXPECT_EQ(at(p1, FpuOp::MulD), 2u);
+    EXPECT_EQ(p1.totalInstructions, 3u);
+    EXPECT_EQ(p1.instructionsWithDest, 2u);
+
+    ProgramProfile sum = p0;
+    sum += p1;
+    EXPECT_EQ(sum.totalInstructions, r.instructions);
+    EXPECT_EQ(sum.instructionsWithDest,
+              p0.instructionsWithDest + p1.instructionsWithDest);
+    EXPECT_EQ(at(sum, FpuOp::AddD), 1u);
+    EXPECT_EQ(at(sum, FpuOp::MulD), 2u);
 }
 
 TEST(Models, SaveLoadRoundTrip)

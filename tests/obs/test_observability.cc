@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -220,6 +221,69 @@ TEST(Trace, RingOverwritesAndCountsDrops)
     auto parsed = json::parse(slurp(path));
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(parsed->find("traceEvents")->asArray().size(), 16u);
+    std::filesystem::remove(path);
+}
+
+TEST(Trace, RunRangeRecordsOneRunSpanPerExecutedRun)
+{
+    // Fleet range units dispatch runs through runRange(); each run it
+    // executes gets the same `inject.run` span as under run(), and
+    // reports the same record run() reports for that index.
+    using Record = inject::InjectionCampaign::RunRecord;
+    inject::InjectionCampaign campaign(
+        workloads::buildWorkload("sobel", 1));
+    models::DaModel model(5e-3);
+    ThreadPool pool(2);
+    auto same = [](const Record &a, const Record &b) {
+        return a.outcome == b.outcome && a.injected == b.injected &&
+               a.committed == b.committed && a.wrongPath == b.wrongPath &&
+               a.attempts == b.attempts && a.fault == b.fault &&
+               a.logWeight == b.logWeight && a.mcClass == b.mcClass;
+    };
+
+    std::vector<Record> whole(4);
+    inject::InjectionCampaign::RunOptions opts;
+    opts.pool = &pool;
+    opts.onComplete = [&](uint64_t i, const Record &r) { whole[i] = r; };
+    Rng rng(42);
+    campaign.run(model, 4, rng, opts);
+
+    Tracer &tracer = Tracer::global();
+    tracer.enable(4096);
+    tracer.clear();
+    std::vector<Record> ranged(4);
+    std::vector<int> reported(4, 0);
+    opts.onComplete = [&](uint64_t i, const Record &r) {
+        ranged[i] = r;
+        ++reported[i];
+    };
+    // Run 2 comes from the journal: replayed runs execute nothing and
+    // get no run span.
+    opts.replay = [&](uint64_t i, Record &r) {
+        if (i != 2)
+            return false;
+        r = whole[2];
+        return true;
+    };
+    Rng rng2(42);
+    EXPECT_EQ(campaign.runRange(model, 0, 4, rng2, opts), 3u);
+    for (uint64_t i : {0u, 1u, 3u}) {
+        EXPECT_EQ(reported[i], 1) << i;
+        EXPECT_TRUE(same(ranged[i], whole[i])) << i;
+    }
+    EXPECT_EQ(reported[2], 0);
+
+    std::string path = tmpPath("trace_range.json");
+    ASSERT_TRUE(tracer.dumpTo(path));
+    auto parsed = json::parse(slurp(path));
+    ASSERT_TRUE(parsed.has_value());
+    std::vector<int64_t> runSpans;
+    for (const json::Value &e : parsed->find("traceEvents")->asArray())
+        if (e.find("name")->asString() == "inject.run")
+            runSpans.push_back(static_cast<int64_t>(
+                e.find("args")->find("i")->asInt()));
+    std::sort(runSpans.begin(), runSpans.end());
+    EXPECT_EQ(runSpans, (std::vector<int64_t>{0, 1, 3}));
     std::filesystem::remove(path);
 }
 
