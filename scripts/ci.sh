@@ -1,13 +1,15 @@
 #!/bin/sh
-# The tier-1 gate, run twice:
+# The tier-1 gate, run three times:
 #
 #   1. an ASan+UBSan build (catches the memory and UB bugs a fleet of
-#      forking workers is good at hiding), and
+#      forking workers is good at hiding),
 #   2. the regular build with REPRO_SIMD=portable, proving the scalar
 #      kernels produce the same bit-identical results the SIMD paths
-#      are tested against.
+#      are tested against, and
+#   3. a ThreadSanitizer build over the suites whose code shares state
+#      between threads.
 #
-# Both passes run the full suite; either failing fails CI.
+# The first two passes run the full suite; any pass failing fails CI.
 #
 # Usage: scripts/ci.sh [jobs]
 set -u
@@ -16,30 +18,45 @@ root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
 jobs=${1:-$(nproc 2>/dev/null || echo 4)}
 fail=0
 
+# run_pass <name> <build dir> <ctest label regex, "" = all> [cmake args]
 run_pass() {
     name=$1
     build=$2
-    shift 2
+    labels=$3
+    shift 3
     echo "=== ci: configure $name ($build) ==="
     cmake -B "$build" -S "$root" "$@" || return 1
     echo "=== ci: build $name ==="
     cmake --build "$build" -j "$jobs" || return 1
     echo "=== ci: test $name ==="
-    (cd "$build" && ctest --output-on-failure -j "$jobs") || return 1
+    (cd "$build" && ctest --output-on-failure -j "$jobs" \
+         ${labels:+-L "$labels"}) || return 1
 }
 
 # Pass 1: sanitizers. ASan needs the leak checker off for the chaos
 # tests (SIGKILLed workers exit without unwinding, by design).
 if ! ASAN_OPTIONS="detect_leaks=0" run_pass "asan+ubsan" \
-        "$root/build-san" -DTEA_SANITIZE="address,undefined"; then
+        "$root/build-san" "" -DTEA_SANITIZE="address,undefined"; then
     echo "ci: sanitizer pass FAILED"
     fail=1
 fi
 
 # Pass 2: portable SIMD on the regular build — results must not
 # depend on the ISA level the kernels were dispatched to.
-if ! REPRO_SIMD=portable run_pass "portable-simd" "$root/build"; then
+if ! REPRO_SIMD=portable run_pass "portable-simd" "$root/build" ""; then
     echo "ci: portable-SIMD pass FAILED"
+    fail=1
+fi
+
+# Pass 3: ThreadSanitizer on the suites that share state between
+# threads: the thread pool and concurrent golden preparation
+# (tier1par), the daemon's executor and connection threads
+# (tier1service), the fleet coordinator (tier1fleet), and the metric
+# registry and trace buffers (tier1obs).
+if ! run_pass "tsan" "$root/build-tsan" \
+        "tier1par|tier1service|tier1fleet|tier1obs" \
+        -DTEA_SANITIZE=thread; then
+    echo "ci: ThreadSanitizer pass FAILED"
     fail=1
 fi
 
@@ -95,4 +112,4 @@ if ! (cd "$root/build-san" && \
     echo "ci: batched-DTA identity gate FAILED"
     exit 1
 fi
-echo "ci: OK (sanitizer, portable-SIMD, IS, multi-core, OoO + functional oracle, batched-DTA green)"
+echo "ci: OK (sanitizer, portable-SIMD, TSan, IS, multi-core, OoO + functional oracle, batched-DTA green)"

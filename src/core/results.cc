@@ -494,6 +494,9 @@ runEvaluationGrid(Toolflow &tf, const GridSpec &spec)
     }
 
     obs::Span gridSpan("toolflow.grid", "toolflow");
+    // Every cell needs its workload's golden run; they are independent,
+    // so prepare them all up front, concurrently.
+    tf.prepareCampaigns(specWorkloads(spec));
     EvaluationGrid grid;
     std::vector<std::string> journalPaths;
     for (const CellPlan &plan : planEvaluationGrid(opt, spec)) {

@@ -1,5 +1,6 @@
 #include "core/toolflow.hh"
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cmath>
@@ -764,21 +765,53 @@ Toolflow::trace(const std::string &name)
     return it->second;
 }
 
+mc::McConfig
+Toolflow::mcConfig() const
+{
+    mc::McConfig mcCfg;
+    mcCfg.cores = opt_.mcCores;
+    mcCfg.quantum = opt_.mcQuantum;
+    return mcCfg;
+}
+
 inject::InjectionCampaign &
 Toolflow::campaign(const std::string &name)
 {
     auto it = campaigns_.find(name);
     if (it == campaigns_.end()) {
-        mc::McConfig mcCfg;
-        mcCfg.cores = opt_.mcCores;
-        mcCfg.quantum = opt_.mcQuantum;
         it = campaigns_
                  .emplace(name,
                           std::make_unique<inject::InjectionCampaign>(
-                              workload(name), sim::OooConfig{}, mcCfg))
+                              workload(name), sim::OooConfig{},
+                              mcConfig()))
                  .first;
     }
     return *it->second;
+}
+
+void
+Toolflow::prepareCampaigns(const std::vector<std::string> &names)
+{
+    // Workloads are built and the maps written on this thread only;
+    // the pool runs nothing but the independent golden preparations.
+    std::vector<std::string> todo;
+    for (const auto &name : names)
+        if (!campaigns_.count(name) &&
+            std::find(todo.begin(), todo.end(), name) == todo.end()) {
+            workload(name);
+            todo.push_back(name);
+        }
+    const mc::McConfig mcCfg = mcConfig();
+    auto built =
+        pool_->parallelMap<std::unique_ptr<inject::InjectionCampaign>>(
+            todo.size(), [&](uint64_t i, unsigned) {
+                auto c = inject::InjectionCampaign::create(
+                    workloads_.at(todo[i]), sim::OooConfig{}, mcCfg);
+                return c ? std::move(c.value()) : nullptr;
+            });
+    for (size_t i = 0; i < todo.size(); ++i)
+        if (built[i])
+            campaigns_.emplace(todo[i], std::move(built[i]));
 }
 
 } // namespace tea::core

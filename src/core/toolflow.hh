@@ -184,8 +184,16 @@ class Toolflow
     const std::vector<sim::FpTraceEntry> &
     trace(const std::string &workload);
     inject::InjectionCampaign &campaign(const std::string &workload);
+    /**
+     * Prepare the campaigns of `workloads` that campaign() has not
+     * built yet, their golden runs concurrently on the pool. The
+     * campaigns are identical to ones campaign() builds; a workload
+     * whose golden run fails is left for campaign() to report.
+     */
+    void prepareCampaigns(const std::vector<std::string> &workloads);
 
   private:
+    mc::McConfig mcConfig() const;
     std::string cachePath(const std::string &tag, double vrFrac) const;
     const timing::CampaignStats &
     characterize(const std::string &tag, double vrFrac,

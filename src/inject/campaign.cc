@@ -1,5 +1,6 @@
 #include "inject/campaign.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -218,21 +219,26 @@ InjectionCampaign::prepare()
         // Per-core profiles from one functional run: model planning
         // addresses "the n-th eligible op on core k", so each core
         // needs its own dynamic op counts. A single-core workload is
-        // one core.
-        sim::FuncSim::Config fcfg;
-        fcfg.cores = workload_.threaded ? mcCfg_.cores : 1;
-        sim::FuncSim fsim(workload_.program, fcfg);
-        auto fres = fsim.run();
-        if (fres.status != sim::FuncSim::Status::Halted)
-            return makeError(ErrorCode::GoldenRunFailed,
-                             "workload '%s' golden run did not halt (%s)",
-                             workload_.name.c_str(),
-                             sim::trapName(fres.trap));
-        coreProfiles_.clear();
-        profile_ = {};
-        for (unsigned k = 0; k < fsim.cores(); ++k) {
-            coreProfiles_.push_back(ProgramProfile::fromFuncSim(fsim, k));
-            profile_ += coreProfiles_.back();
+        // one core. The functional machine is freed before the
+        // cycle-level one is built, so one preparation holds one
+        // simulator at a time.
+        {
+            sim::FuncSim::Config fcfg;
+            fcfg.cores = workload_.threaded ? mcCfg_.cores : 1;
+            sim::FuncSim fsim(workload_.program, fcfg);
+            auto fres = fsim.run();
+            if (fres.status != sim::FuncSim::Status::Halted)
+                return makeError(
+                    ErrorCode::GoldenRunFailed,
+                    "workload '%s' golden run did not halt (%s)",
+                    workload_.name.c_str(), sim::trapName(fres.trap));
+            coreProfiles_.clear();
+            profile_ = {};
+            for (unsigned k = 0; k < fsim.cores(); ++k) {
+                coreProfiles_.push_back(
+                    ProgramProfile::fromFuncSim(fsim, k));
+                profile_ += coreProfiles_.back();
+            }
         }
 
         // ...and the timing/output reference from a golden cycle-level
@@ -245,6 +251,7 @@ InjectionCampaign::prepare()
             countSimWork("mc", mres.committed, mres.cycles);
             halted = mres.status == mc::McSim::Status::Halted;
             goldenCycles_ = mres.cycles;
+            goldenCommitted_ = mres.committed;
             goldenSignature_ =
                 outputSignature(msim.memory(), msim.console());
         } else {
@@ -253,6 +260,7 @@ InjectionCampaign::prepare()
             countSimWork("ooo", ores.committed, ores.cycles);
             halted = ores.status == OooSim::Status::Halted;
             goldenCycles_ = ores.cycles;
+            goldenCommitted_ = ores.committed;
             goldenSignature_ =
                 outputSignature(osim.memory(), osim.console());
         }
@@ -400,6 +408,22 @@ InjectionCampaign::executeOne(const ErrorModel &model, Rng &rng,
 {
     double logWeight = 0.0;
     std::vector<sim::InjectionPlan> plans = planRun(model, rng, logWeight);
+    if (std::all_of(plans.begin(), plans.end(),
+                    [](const sim::InjectionPlan &p) { return p.empty(); })) {
+        // Nothing to inject: the simulators are deterministic, so this
+        // run is the golden run and its record is known without
+        // simulating it. The plan's weight still counts.
+        obs::Registry::global()
+            .counter(obs::metric::kInjectGoldenRuns, "",
+                     "injection runs answered from the golden run "
+                     "without simulation")
+            .inc(1);
+        RunRecord rec;
+        rec.logWeight = logWeight;
+        rec.committed = goldenCommitted_;
+        rec.mcClass = workload_.threaded ? McClass::Masked : McClass::None;
+        return rec;
+    }
     if (workload_.threaded)
         return executeOneMc(std::move(plans), logWeight, watchdog);
     OooSim sim(workload_.program, cfg_, std::move(plans[0]));

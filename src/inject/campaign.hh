@@ -218,6 +218,11 @@ class InjectionCampaign
 
     /** Golden profile used by the models' planners. */
     const models::ProgramProfile &profile() const { return profile_; }
+    /** Per-core golden profiles (one for single-core workloads). */
+    const std::vector<models::ProgramProfile> &coreProfiles() const
+    {
+        return coreProfiles_;
+    }
     /** Error-free cycle count (timeout threshold = 2x this). */
     uint64_t goldenCycles() const { return goldenCycles_; }
     uint64_t goldenInstructions() const
@@ -290,6 +295,9 @@ class InjectionCampaign
      * outcomes are classified; const and therefore safe to call
      * concurrently as long as each caller owns its Rng. May throw if
      * the model or engine faults — executeOneContained() wraps it.
+     * A run whose plans are all empty is the golden run: it returns
+     * Masked with the golden committed count and the plan's log
+     * weight without simulating (so no watchdog can cut it off).
      */
     RunRecord executeOne(const models::ErrorModel &model, Rng &rng,
                          const Watchdog *watchdog = nullptr) const;
@@ -372,6 +380,8 @@ class InjectionCampaign
      *  addresses "core k's n-th op". */
     std::vector<models::ProgramProfile> coreProfiles_;
     uint64_t goldenCycles_ = 0;
+    /** Instructions the golden cycle-level run committed (all cores). */
+    uint64_t goldenCommitted_ = 0;
     std::vector<uint8_t> goldenSignature_;
 };
 

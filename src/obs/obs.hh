@@ -38,6 +38,8 @@ inline constexpr const char *kInjectRetries =
 inline constexpr const char *kInjectReplays =
     "tea_inject_replays_total";
 inline constexpr const char *kInjectRunMs = "tea_inject_run_ms";
+inline constexpr const char *kInjectGoldenRuns =
+    "tea_inject_golden_runs_total";
 // ---- cycle-level simulator work (label engine="ooo"|"mc") ----------
 inline constexpr const char *kSimInstructions =
     "tea_sim_instructions_total";

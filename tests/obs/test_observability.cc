@@ -135,6 +135,22 @@ TEST(Metrics, SimWorkCountersCountEveryCycleLevelRun)
                                  sim::OooConfig{}, mcCfg);
     EXPECT_EQ(mcCycles.value() - m0, mt.goldenCycles());
     EXPECT_GT(mcInstr.value() - mi0, 0u);
+
+    // A run with nothing to inject is answered from the golden run: it
+    // simulates nothing and counts as a golden run instead.
+    Counter golden = reg.counter(metric::kInjectGoldenRuns);
+    uint64_t g0 = golden.value();
+    uint64_t i2 = oooInstr.value(), c2 = oooCycles.value();
+    uint64_t mi2 = mcInstr.value(), m2 = mcCycles.value();
+    auto none = campaign.run(models::DaModel(0.0), 5, rng, nullptr);
+    auto mtNone = mt.run(models::DaModel(0.0), 3, rng, nullptr);
+    EXPECT_EQ(none.masked, 5u);
+    EXPECT_EQ(mtNone.masked, 3u);
+    EXPECT_EQ(oooInstr.value(), i2);
+    EXPECT_EQ(oooCycles.value(), c2);
+    EXPECT_EQ(mcInstr.value(), mi2);
+    EXPECT_EQ(mcCycles.value(), m2);
+    EXPECT_EQ(golden.value() - g0, 8u);
 }
 
 TEST(Metrics, SnapshotIsWellFormedJson)

@@ -1,8 +1,9 @@
 /**
  * @file
- * The parallel-campaign contract: ThreadPool semantics, and
+ * The parallel-campaign contract: ThreadPool semantics,
  * bit-identical DTA / injection campaign results at 1, 2, and 4
- * threads (the determinism guarantee REPRO_THREADS documents).
+ * threads (the determinism guarantee REPRO_THREADS documents), and
+ * golden runs prepared concurrently equal to serially prepared ones.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "circuit/celllib.hh"
+#include "core/toolflow.hh"
 #include "inject/campaign.hh"
 #include "timing/dta_campaign.hh"
 #include "util/threadpool.hh"
@@ -24,7 +26,7 @@ using fpu::FpuOp;
 namespace {
 
 fpu::FpuCore &
-core()
+fpuCore()
 {
     static fpu::FpuCore c;
     return c;
@@ -33,7 +35,7 @@ core()
 size_t
 vr20Point()
 {
-    static size_t p = core().addOperatingPoint(
+    static size_t p = fpuCore().addOperatingPoint(
         circuit::VoltageModel{}.delayFactorAtReduction(circuit::kVR20));
     return p;
 }
@@ -131,7 +133,7 @@ TEST(ParallelDeterminism, RandomDtaCampaignThreadCountInvariant)
     for (unsigned threads : {1u, 2u, 4u}) {
         ThreadPool pool(threads);
         Rng rng(99);
-        results.push_back(runRandomCampaign(core(), vr20Point(), 300,
+        results.push_back(runRandomCampaign(fpuCore(), vr20Point(), 300,
                                             rng, &pool));
     }
     EXPECT_GT(results[0].totalOps(), 0u);
@@ -154,7 +156,7 @@ TEST(ParallelDeterminism, TraceDtaCampaignThreadCountInvariant)
     std::vector<CampaignStats> results;
     for (unsigned threads : {1u, 2u, 4u}) {
         ThreadPool pool(threads);
-        results.push_back(runTraceCampaign(core(), vr20Point(), trace,
+        results.push_back(runTraceCampaign(fpuCore(), vr20Point(), trace,
                                            1500, &pool));
     }
     EXPECT_GT(results[0].totalOps(), 1400u);
@@ -188,5 +190,65 @@ TEST(ParallelDeterminism, InjectionCampaignThreadCountInvariant)
                   results[i].committedInstructions);
         EXPECT_EQ(results[0].wrongPathInjections,
                   results[i].wrongPathInjections);
+    }
+}
+
+namespace {
+
+void
+expectSameProfile(const models::ProgramProfile &a,
+                  const models::ProgramProfile &b, const std::string &what)
+{
+    EXPECT_EQ(a.totalInstructions, b.totalInstructions) << what;
+    EXPECT_EQ(a.instructionsWithDest, b.instructionsWithDest) << what;
+    EXPECT_EQ(a.fpOpCounts, b.fpOpCounts) << what;
+}
+
+core::ToolflowOptions
+prepOptions(unsigned threads)
+{
+    core::ToolflowOptions opt;
+    opt.cacheDir = ""; // golden preparation reads and writes no file
+    opt.seed = 7;
+    opt.threads = threads;
+    return opt;
+}
+
+} // namespace
+
+TEST(ParallelDeterminism, ConcurrentGoldenPrepMatchesSerial)
+{
+    // Single-core and threaded workloads, one name repeated: each
+    // campaign must be prepared once, on any thread.
+    const std::vector<std::string> names = {"sobel", "k-means-mt", "is",
+                                            "hotspot-mt", "sobel"};
+    core::Toolflow serial(prepOptions(1));
+    models::DaModel model(2e-4);
+    for (unsigned threads : {1u, 4u}) {
+        core::Toolflow tf(prepOptions(threads));
+        tf.prepareCampaigns(names);
+        for (const auto &name : names) {
+            std::string what = name + " @" + std::to_string(threads);
+            const inject::InjectionCampaign &want = serial.campaign(name);
+            const inject::InjectionCampaign &got = tf.campaign(name);
+            EXPECT_EQ(got.goldenCycles(), want.goldenCycles()) << what;
+            expectSameProfile(got.profile(), want.profile(), what);
+            ASSERT_EQ(got.coreProfiles().size(),
+                      want.coreProfiles().size())
+                << what;
+            for (size_t k = 0; k < got.coreProfiles().size(); ++k)
+                expectSameProfile(got.coreProfiles()[k],
+                                  want.coreProfiles()[k],
+                                  what + " core " + std::to_string(k));
+            Rng r1(11), r2(11);
+            auto a = got.executeOne(model, r1);
+            auto b = want.executeOne(model, r2);
+            EXPECT_EQ(a.outcome, b.outcome) << what;
+            EXPECT_EQ(a.committed, b.committed) << what;
+            EXPECT_EQ(a.injected, b.injected) << what;
+            EXPECT_EQ(a.wrongPath, b.wrongPath) << what;
+            EXPECT_EQ(a.mcClass, b.mcClass) << what;
+            EXPECT_EQ(a.logWeight, b.logWeight) << what;
+        }
     }
 }
