@@ -10,6 +10,7 @@
 #      between threads.
 #
 # The first two passes run the full suite; any pass failing fails CI.
+# Every pass compiles with -Werror, so a new warning fails CI too.
 #
 # Usage: scripts/ci.sh [jobs]
 set -u
@@ -25,7 +26,7 @@ run_pass() {
     labels=$3
     shift 3
     echo "=== ci: configure $name ($build) ==="
-    cmake -B "$build" -S "$root" "$@" || return 1
+    cmake -B "$build" -S "$root" -DCMAKE_CXX_FLAGS=-Werror "$@" || return 1
     echo "=== ci: build $name ==="
     cmake --build "$build" -j "$jobs" || return 1
     echo "=== ci: test $name ==="
@@ -85,12 +86,15 @@ if ! (cd "$root/build-san" && \
     exit 1
 fi
 # OoO timing-oracle and functional-oracle gate, likewise named: the
-# core pipeline's store queue and busy set index fixed-size rings and
-# multi-word bitsets, and the one functional simulator steps 1..N harts
-# through per-hart arrays, so the pinned cycle/counter/output oracle
-# (tests/sim, four ROB sizes) and the pinned functional oracle
-# (status, per-core counts, op-count/FP-trace/output CRCs at 1, 2 and
-# 4 cores) run under ASan+UBSan and under the regular build.
+# core pipeline's ready set, load re-check set and timing wheel are
+# multi-word bitsets over a fixed-size ROB ring, its per-slot waiter
+# lists are indexed by ROB slot and checked by sequence number, and the
+# one functional simulator steps 1..N harts through per-hart arrays,
+# so the pinned cycle/counter/output oracle (tests/sim: four ROB sizes,
+# a narrow and a long-latency machine, a run cut by the cycle limit)
+# and the pinned functional oracle (status, per-core counts,
+# op-count/FP-trace/output CRCs at 1, 2 and 4 cores) run under
+# ASan+UBSan and under the regular build.
 echo "=== ci: OoO timing-oracle + functional-oracle gate (ctest -L tier1sim) ==="
 if ! (cd "$root/build-san" && \
       ASAN_OPTIONS="detect_leaks=0" ctest -L tier1sim --output-on-failure) \

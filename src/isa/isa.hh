@@ -88,20 +88,189 @@ struct Instruction
 
 const char *opName(Op op);
 
-/** Instruction class predicates used by decode/rename and injection. */
-bool isBranch(Op op);         ///< conditional branches
-bool isJump(Op op);           ///< JAL / JALR
-bool isLoad(Op op);
-bool isStore(Op op);
-bool isFpArith(Op op);        ///< the 12 error-modelled FP instructions
-bool writesIntReg(Op op);
-bool writesFpReg(Op op);
-bool readsFpRs1(Op op);
-bool readsFpRs2(Op op);
-bool readsIntRs1(Op op);
-bool readsIntRs2(Op op);
+/*
+ * Instruction class predicates used by decode/rename and injection.
+ * Inline: the OoO core asks them for every renamed instruction.
+ */
+
+/** Conditional branches. */
+inline bool
+isBranch(Op op)
+{
+    switch (op) {
+      case Op::BEQ:
+      case Op::BNE:
+      case Op::BLT:
+      case Op::BGE:
+      case Op::BLTU:
+      case Op::BGEU:
+        return true;
+      default:
+        return false;
+    }
+}
+
+/** JAL / JALR. */
+inline bool
+isJump(Op op)
+{
+    return op == Op::JAL || op == Op::JALR;
+}
+
+inline bool
+isLoad(Op op)
+{
+    return op == Op::LD || op == Op::LW || op == Op::FLD;
+}
+
+inline bool
+isStore(Op op)
+{
+    return op == Op::SD || op == Op::SW || op == Op::FSD;
+}
+
+/** The 12 error-modelled FP instructions. */
+inline bool
+isFpArith(Op op)
+{
+    switch (op) {
+      case Op::FADD_D:
+      case Op::FSUB_D:
+      case Op::FMUL_D:
+      case Op::FDIV_D:
+      case Op::FCVT_D_L:
+      case Op::FCVT_L_D:
+      case Op::FADD_S:
+      case Op::FSUB_S:
+      case Op::FMUL_S:
+      case Op::FDIV_S:
+      case Op::FCVT_S_W:
+      case Op::FCVT_W_S:
+        return true;
+      default:
+        return false;
+    }
+}
+
+inline bool
+writesIntReg(Op op)
+{
+    switch (op) {
+      case Op::ADD: case Op::SUB: case Op::AND_: case Op::OR_:
+      case Op::XOR_: case Op::SLL: case Op::SRL: case Op::SRA:
+      case Op::SLT: case Op::SLTU: case Op::MUL: case Op::DIV:
+      case Op::DIVU: case Op::REM: case Op::REMU:
+      case Op::ADDI: case Op::ANDI: case Op::ORI: case Op::XORI:
+      case Op::SLLI: case Op::SRLI: case Op::SRAI: case Op::SLTI:
+      case Op::LIW: case Op::LD: case Op::LW:
+      case Op::JAL: case Op::JALR:
+      case Op::FCVT_L_D: case Op::FCVT_W_S:
+      case Op::FMV_X_D:
+      case Op::FEQ_D: case Op::FLT_D: case Op::FLE_D:
+        return true;
+      default:
+        return false;
+    }
+}
+
+inline bool
+writesFpReg(Op op)
+{
+    switch (op) {
+      case Op::FLD:
+      case Op::FADD_D: case Op::FSUB_D: case Op::FMUL_D:
+      case Op::FDIV_D: case Op::FCVT_D_L:
+      case Op::FADD_S: case Op::FSUB_S: case Op::FMUL_S:
+      case Op::FDIV_S: case Op::FCVT_S_W:
+      case Op::FMV: case Op::FNEG_D: case Op::FABS_D:
+      case Op::FMV_D_X:
+        return true;
+      default:
+        return false;
+    }
+}
+
+inline bool
+readsFpRs1(Op op)
+{
+    switch (op) {
+      case Op::FADD_D: case Op::FSUB_D: case Op::FMUL_D:
+      case Op::FDIV_D: case Op::FCVT_L_D:
+      case Op::FADD_S: case Op::FSUB_S: case Op::FMUL_S:
+      case Op::FDIV_S: case Op::FCVT_W_S:
+      case Op::FMV: case Op::FNEG_D: case Op::FABS_D:
+      case Op::FMV_X_D:
+      case Op::FEQ_D: case Op::FLT_D: case Op::FLE_D:
+        return true;
+      default:
+        return false;
+    }
+}
+
+inline bool
+readsFpRs2(Op op)
+{
+    switch (op) {
+      case Op::FADD_D: case Op::FSUB_D: case Op::FMUL_D:
+      case Op::FDIV_D:
+      case Op::FADD_S: case Op::FSUB_S: case Op::FMUL_S:
+      case Op::FDIV_S:
+      case Op::FEQ_D: case Op::FLT_D: case Op::FLE_D:
+        return true;
+      default:
+        return false;
+    }
+}
+// Note: store data travels in the rd field (see storeDataIsFp); stores
+// are not covered by the readsFpRs2/readsIntRs2 predicates.
+
+inline bool
+readsIntRs1(Op op)
+{
+    switch (op) {
+      case Op::ADD: case Op::SUB: case Op::AND_: case Op::OR_:
+      case Op::XOR_: case Op::SLL: case Op::SRL: case Op::SRA:
+      case Op::SLT: case Op::SLTU: case Op::MUL: case Op::DIV:
+      case Op::DIVU: case Op::REM: case Op::REMU:
+      case Op::ADDI: case Op::ANDI: case Op::ORI: case Op::XORI:
+      case Op::SLLI: case Op::SRLI: case Op::SRAI: case Op::SLTI:
+      case Op::LD: case Op::LW: case Op::SD: case Op::SW:
+      case Op::FLD: case Op::FSD:
+      case Op::BEQ: case Op::BNE: case Op::BLT: case Op::BGE:
+      case Op::BLTU: case Op::BGEU:
+      case Op::JALR:
+      case Op::FCVT_D_L: case Op::FCVT_S_W:
+      case Op::FMV_D_X:
+      case Op::ECALL:
+        return true;
+      default:
+        return false;
+    }
+}
+
+inline bool
+readsIntRs2(Op op)
+{
+    switch (op) {
+      case Op::ADD: case Op::SUB: case Op::AND_: case Op::OR_:
+      case Op::XOR_: case Op::SLL: case Op::SRL: case Op::SRA:
+      case Op::SLT: case Op::SLTU: case Op::MUL: case Op::DIV:
+      case Op::DIVU: case Op::REM: case Op::REMU:
+      case Op::BEQ: case Op::BNE: case Op::BLT: case Op::BGE:
+      case Op::BLTU: case Op::BGEU:
+        return true;
+      default:
+        return false;
+    }
+}
+
 /** True if the op has any destination register at all. */
-bool hasDest(Op op);
+inline bool
+hasDest(Op op)
+{
+    return writesIntReg(op) || writesFpReg(op);
+}
+
 /** Stores carry their data register in the rd field; true if it is an
  * f-register (FSD). */
 inline bool storeDataIsFp(Op op) { return op == Op::FSD; }

@@ -108,6 +108,13 @@ struct McSim::Impl
             return {m.mem.read(addr, size), lat, m.taint.get(addr)};
         }
 
+        LatencyRange loadLatencies() const override
+        {
+            auto lats = {m.cfg.core.latCacheHit, m.cfg.core.latCacheMiss,
+                         m.cfg.latL2Hit, m.cfg.latC2c};
+            return {std::min(lats), std::max(lats)};
+        }
+
         void store(uint64_t addr, unsigned size, uint64_t value,
                    uint32_t taint) override
         {

@@ -1,5 +1,6 @@
 #include "sim/memory.hh"
 
+#include <algorithm>
 #include <cstring>
 
 #include "util/logging.hh"
@@ -51,9 +52,9 @@ uint64_t
 Memory::read(uint64_t addr, unsigned size) const
 {
     // Aligned accesses (the common case — the simulators trap
-    // misalignment first) stay within one page; byte-granularity
-    // callers like loadProgram may straddle, so fall back to a byte
-    // loop rather than run a memcpy off the end of a page.
+    // misalignment first) stay within one page; unchecked callers may
+    // straddle, so fall back to a byte loop rather than run a memcpy
+    // off the end of a page.
     uint64_t off = addr & (kPageSize - 1);
     uint64_t v = 0;
     if (off + size <= kPageSize) {
@@ -98,8 +99,15 @@ Memory::loadProgram(const isa::Program &prog)
 {
     for (const auto &seg : prog.data) {
         mapRange(seg.addr, seg.bytes.size());
-        for (size_t i = 0; i < seg.bytes.size(); ++i)
-            write(seg.addr + i, 1, seg.bytes[i]);
+        // One page lookup and one memcpy per page the segment touches.
+        for (uint64_t done = 0; done < seg.bytes.size();) {
+            uint64_t addr = seg.addr + done;
+            uint64_t off = addr & (kPageSize - 1);
+            uint64_t n = std::min<uint64_t>(kPageSize - off,
+                                            seg.bytes.size() - done);
+            std::memcpy(pageFor(addr) + off, seg.bytes.data() + done, n);
+            done += n;
+        }
     }
     mapRange(isa::kStackTop - isa::kStackSize, isa::kStackSize);
 }

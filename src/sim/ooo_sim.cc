@@ -66,6 +66,11 @@ class FlatPort final : public CorePort
         return {mem_.read(addr, size), hit ? latHit_ : latMiss_, 0};
     }
 
+    LatencyRange loadLatencies() const override
+    {
+        return {std::min(latHit_, latMiss_), std::max(latHit_, latMiss_)};
+    }
+
     void store(uint64_t addr, unsigned size, uint64_t value,
                uint32_t /*taint*/) override
     {

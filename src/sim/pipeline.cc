@@ -1,6 +1,7 @@
 #include "sim/pipeline.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "isa/isa.hh"
 #include "sim/exec.hh"
@@ -13,14 +14,67 @@ using isa::Op;
 
 CorePort::~CorePort() = default;
 
+namespace {
+
+/**
+ * The largest latency of `cfg` and `port`; fatal() if any is 0 or
+ * exceeds `limit`.
+ */
+unsigned
+checkedMaxLatency(const OooConfig &cfg, const CorePort &port,
+                  unsigned coreId, unsigned limit)
+{
+    const std::pair<const char *, unsigned> lats[] = {
+        {"latAlu", cfg.latAlu},       {"latMul", cfg.latMul},
+        {"latDiv", cfg.latDiv},       {"latFpAdd", cfg.latFpAdd},
+        {"latFpMul", cfg.latFpMul},   {"latFpDiv", cfg.latFpDiv},
+        {"latFpCvt", cfg.latFpCvt},   {"latAgen", cfg.latAgen},
+        {"latCacheHit", cfg.latCacheHit},
+        {"latCacheMiss", cfg.latCacheMiss},
+    };
+    unsigned maxLat = 1;
+    for (const auto &[name, lat] : lats) {
+        fatal_if(lat == 0,
+                 "core %u: OooConfig::%s is 0; every latency must be at "
+                 "least 1 cycle",
+                 coreId, name);
+        fatal_if(lat > limit,
+                 "core %u: OooConfig::%s is %u cycles; the core's timing "
+                 "wheel holds at most %u",
+                 coreId, name, lat, limit);
+        maxLat = std::max(maxLat, lat);
+    }
+    CorePort::LatencyRange portLat = port.loadLatencies();
+    fatal_if(portLat.min == 0,
+             "core %u: the memory port's loads can take 0 cycles; every "
+             "latency must be at least 1 cycle",
+             coreId);
+    fatal_if(portLat.max > limit,
+             "core %u: the memory port's loads can take %u cycles; the "
+             "core's timing wheel holds at most %u",
+             coreId, portLat.max, limit);
+    return std::max(maxLat, portLat.max);
+}
+
+} // namespace
+
 CorePipeline::CorePipeline(const isa::Program &prog, const OooConfig &cfg,
                            InjectionPlan plan, CorePort &port,
                            unsigned coreId)
     : prog_(prog), cfg_(cfg), plan_(std::move(plan)), port_(port),
       coreId_(coreId), coreMask_(1u << (coreId & 31)),
-      rob_(cfg.robSize), busy_((cfg.robSize + 63) / 64, 0),
+      maxLoadLatency_(port.loadLatencies().max), rob_(cfg.robSize),
+      robWords_((cfg.robSize + 63) / 64), waiters_(cfg.robSize),
+      ready_(robWords_, 0), memPending_(robWords_, 0),
+      memRecheck_(robWords_, 0),
       fetchIdx_(prog.entryIndex)
 {
+    unsigned maxLat = checkedMaxLatency(cfg, port, coreId, kMaxLatency);
+    // Every latency is below the wheel size, so a slot never lands in
+    // the bucket being walked.
+    uint64_t wheelSize = std::bit_ceil(uint64_t{maxLat} + 1);
+    wheelMask_ = wheelSize - 1;
+    wheel_.assign(wheelSize * robWords_, 0);
     mapInt_.fill(-1);
     mapFp_.fill(-1);
     xreg_[2] = isa::kStackTop - 64;
@@ -30,9 +84,14 @@ void
 CorePipeline::restart(uint64_t entryIdx, uint64_t sp)
 {
     head_ = tail_ = count_ = 0;
+    for (auto &w : waiters_)
+        w.clear();
+    std::fill(ready_.begin(), ready_.end(), 0);
+    iqCount_ = 0;
     sq_.clear();
-    std::fill(busy_.begin(), busy_.end(), 0);
-    iq_.clear();
+    std::fill(memPending_.begin(), memPending_.end(), 0);
+    std::fill(memRecheck_.begin(), memRecheck_.end(), 0);
+    std::fill(wheel_.begin(), wheel_.end(), 0);
     fetchBuf_.clear();
     mapInt_.fill(-1);
     mapFp_.fill(-1);
@@ -75,22 +134,31 @@ CorePipeline::fetch()
 }
 
 // ---- rename / dispatch -------------------------------------------------
+/**
+ * Source `src` of the entry at `slot` reads `reg`: from the register
+ * file, from a producer that has written back, or — while the producer
+ * is still in flight — from its wakeup, for which it waits.
+ */
 void
-CorePipeline::captureSource(RobEntry &e, int slot, unsigned reg,
-                            bool isFp)
+CorePipeline::captureSource(size_t slot, int src, unsigned reg, bool isFp)
 {
-    e.srcIsFp[slot] = isFp;
+    RobEntry &e = rob_[slot];
     int producer = isFp ? mapFp_[reg] : (reg ? mapInt_[reg] : -1);
-    if (producer >= 0) {
-        e.src[slot] = producer;
-        e.srcVal[slot] = 0;
-        e.srcTaint[slot] = 0;
-    } else {
-        e.src[slot] = -1;
-        e.srcVal[slot] = isFp ? freg_[reg] : readIntNow(reg);
-        e.srcTaint[slot] =
+    if (producer < 0) {
+        e.srcVal[src] = isFp ? freg_[reg] : readIntNow(reg);
+        e.srcTaint[src] =
             isFp ? fregTaint_[reg] : (reg ? xregTaint_[reg] : 0);
+        return;
     }
+    const RobEntry &p = rob_[static_cast<size_t>(producer)];
+    if (p.stage == Stage::Done) {
+        e.srcVal[src] = p.result;
+        e.srcTaint[src] = p.taint;
+        return;
+    }
+    waiters_[static_cast<size_t>(producer)].push_back(
+        {static_cast<uint32_t>(slot), static_cast<uint32_t>(src), e.seq});
+    ++e.pending;
 }
 
 void
@@ -98,7 +166,7 @@ CorePipeline::rename()
 {
     for (unsigned i = 0; i < cfg_.renameWidth; ++i) {
         if (fetchBuf_.empty() || count_ == rob_.size() ||
-            iq_.size() >= cfg_.iqSize)
+            iqCount_ >= cfg_.iqSize)
             return;
         auto [pcIdx, predNext] = fetchBuf_.front();
         const Instruction &insn = prog_.code[pcIdx];
@@ -118,26 +186,29 @@ CorePipeline::rename()
         e.seq = nextSeq_++;
         e.predNextIdx = predNext;
         e.stage = Stage::InIQ;
-        e.src[0] = e.src[1] = -1;
         e.isLoad = isa::isLoad(insn.op);
         e.isStore = isa::isStore(insn.op);
         e.isCtrl = isa::isBranch(insn.op) || isa::isJump(insn.op);
         e.trap = TrapKind::None;
+        // Waiters left by an older, squashed occupant of this slot.
+        waiters_[slot].clear();
 
         // Sources.
         bool ecallFp =
             insn.op == Op::ECALL &&
             insn.imm == static_cast<int>(isa::Syscall::PrintFp);
         if (isa::readsFpRs1(insn.op) || ecallFp)
-            captureSource(e, 0, insn.rs1, true);
+            captureSource(slot, 0, insn.rs1, true);
         else if (isa::readsIntRs1(insn.op) && !ecallFp)
-            captureSource(e, 0, insn.rs1, false);
+            captureSource(slot, 0, insn.rs1, false);
         if (isa::readsFpRs2(insn.op))
-            captureSource(e, 1, insn.rs2, true);
+            captureSource(slot, 1, insn.rs2, true);
         else if (isa::readsIntRs2(insn.op))
-            captureSource(e, 1, insn.rs2, false);
+            captureSource(slot, 1, insn.rs2, false);
         if (e.isStore)
-            captureSource(e, 1, insn.rd, isa::storeDataIsFp(insn.op));
+            captureSource(slot, 1, insn.rd, isa::storeDataIsFp(insn.op));
+        if (e.pending == 0)
+            setBit(ready_.data(), slot);
 
         // Destination.
         e.destIsFp = isa::writesFpReg(insn.op);
@@ -155,37 +226,50 @@ CorePipeline::rename()
             ++loadsInFlight_;
         if (e.isStore)
             sq_.push_back(slot);
-        iq_.push_back(static_cast<int>(slot));
+        ++iqCount_;
     }
 }
 
 // ---- issue -------------------------------------------------------------
-bool
-CorePipeline::sourcesReady(const RobEntry &e) const
+namespace {
+
+/** First slot in [from, end) whose bit is set in `word(w)`, or `end`. */
+template <class Word>
+size_t
+firstSet(Word word, size_t from, size_t end)
 {
-    for (int s = 0; s < 2; ++s) {
-        if (e.src[s] >= 0 &&
-            rob_[static_cast<size_t>(e.src[s])].stage != Stage::Done)
-            return false;
+    while (from < end) {
+        size_t w = from >> 6;
+        uint64_t bits = word(w) & (~0ULL << (from & 63));
+        if (bits)
+            return std::min(end, (w << 6) + static_cast<size_t>(
+                                                 std::countr_zero(bits)));
+        from = (w + 1) << 6;
     }
-    return true;
+    return end;
 }
 
-uint64_t
-CorePipeline::sourceValue(const RobEntry &e, int s) const
+/**
+ * Call `visit(slot)` for every slot set in `word`, oldest first: `head`
+ * to the end of the ring, then 0 to `head`. The bits are read live, so
+ * a visit that clears younger slots (a squash) stops the walk at it;
+ * `visit` returns false to stop early.
+ */
+template <class Word, class Visit>
+void
+walkOldestFirst(Word word, size_t head, size_t n, Visit visit)
 {
-    if (e.src[s] >= 0)
-        return rob_[static_cast<size_t>(e.src[s])].result;
-    return e.srcVal[s];
+    for (size_t i = firstSet(word, head, n); i < n;
+         i = firstSet(word, i + 1, n))
+        if (!visit(i))
+            return;
+    for (size_t i = firstSet(word, 0, head); i < head;
+         i = firstSet(word, i + 1, head))
+        if (!visit(i))
+            return;
 }
 
-uint32_t
-CorePipeline::sourceTaint(const RobEntry &e, int s) const
-{
-    if (e.src[s] >= 0)
-        return rob_[static_cast<size_t>(e.src[s])].taint;
-    return e.srcTaint[s];
-}
+} // namespace
 
 unsigned
 CorePipeline::latencyOf(Op op) const
@@ -223,83 +307,94 @@ CorePipeline::checkMemFault(RobEntry &e)
 }
 
 void
+CorePipeline::schedule(size_t slot, unsigned latency)
+{
+    rob_[slot].due = cycles_ + latency;
+    setBit(dueAt(rob_[slot].due), slot);
+}
+
+/** Issue a ready entry; false if its divider is still busy. */
+bool
+CorePipeline::issueOne(size_t slot)
+{
+    RobEntry &e = rob_[slot];
+    Op op = e.insn.op;
+    bool intDiv = op == Op::DIV || op == Op::DIVU || op == Op::REM ||
+                  op == Op::REMU;
+    bool fpDiv = op == Op::FDIV_D || op == Op::FDIV_S;
+    if (intDiv && cycles_ < intDivBusyUntil_)
+        return false;
+    if (fpDiv && cycles_ < fpDivBusyUntil_)
+        return false;
+
+    clearBit(ready_.data(), slot);
+    --iqCount_;
+    uint64_t a = e.srcVal[0];
+    uint64_t b = e.srcVal[1];
+    e.taint = e.srcTaint[0] | e.srcTaint[1];
+    unsigned latency = latencyOf(op);
+    e.stage = Stage::Exec;
+
+    if (e.isLoad || e.isStore) {
+        e.addr = a + static_cast<int64_t>(e.insn.imm);
+        e.size = memAccessSize(op);
+        checkMemFault(e);
+        if (e.isStore)
+            e.result = b; // store data
+        latency = cfg_.latAgen;
+    } else if (isa::isBranch(op)) {
+        bool taken = branchTaken(op, a, b);
+        e.actualNextIdx =
+            taken ? e.pcIdx + static_cast<int64_t>(e.insn.imm)
+                  : e.pcIdx + 1;
+        latency = cfg_.latAlu;
+    } else if (op == Op::JAL) {
+        e.actualNextIdx = e.pcIdx + static_cast<int64_t>(e.insn.imm);
+        e.result = (e.pcIdx + 1) * 4 + isa::kCodeBase;
+        latency = cfg_.latAlu;
+    } else if (op == Op::JALR) {
+        uint64_t target = a + static_cast<int64_t>(e.insn.imm);
+        e.result = (e.pcIdx + 1) * 4 + isa::kCodeBase;
+        if (target < isa::kCodeBase || (target & 3) ||
+            (target - isa::kCodeBase) / 4 >= prog_.code.size()) {
+            e.trap = TrapKind::BadJump;
+            e.actualNextIdx = e.pcIdx + 1; // never used
+        } else {
+            e.actualNextIdx = (target - isa::kCodeBase) / 4;
+        }
+        latency = cfg_.latAlu;
+    } else if (op == Op::ECALL) {
+        e.result = a; // value captured for commit
+        latency = cfg_.latAlu;
+    } else if (op == Op::HALT || op == Op::NOP) {
+        latency = 1;
+    } else {
+        ExecOut out = execArith(e.insn, a, b);
+        e.result = out.value;
+        if (out.fpSevere && cfg_.trapOnSevereFp && isa::isFpArith(op))
+            e.trap = TrapKind::FpException;
+        if (intDiv)
+            intDivBusyUntil_ = cycles_ + cfg_.latDiv;
+        if (fpDiv)
+            fpDivBusyUntil_ = cycles_ + cfg_.latFpDiv;
+    }
+    schedule(slot, latency);
+    return true;
+}
+
+/** Select up to `issueWidth` ready entries, oldest first. */
+void
 CorePipeline::issue()
 {
     unsigned issued = 0;
-    for (auto it = iq_.begin();
-         it != iq_.end() && issued < cfg_.issueWidth;) {
-        RobEntry &e = rob_[static_cast<size_t>(*it)];
-        if (!sourcesReady(e)) {
-            ++it;
-            continue;
-        }
-        Op op = e.insn.op;
-        bool intDiv = op == Op::DIV || op == Op::DIVU ||
-                      op == Op::REM || op == Op::REMU;
-        bool fpDiv = op == Op::FDIV_D || op == Op::FDIV_S;
-        if (intDiv && cycles_ < intDivBusyUntil_) {
-            ++it;
-            continue;
-        }
-        if (fpDiv && cycles_ < fpDivBusyUntil_) {
-            ++it;
-            continue;
-        }
-
-        uint64_t a = sourceValue(e, 0);
-        uint64_t b = sourceValue(e, 1);
-        e.taint = sourceTaint(e, 0) | sourceTaint(e, 1);
-        e.countdown = latencyOf(op);
-        e.stage = Stage::Exec;
-        setBusy(static_cast<size_t>(*it));
-
-        if (e.isLoad || e.isStore) {
-            e.addr = a + static_cast<int64_t>(e.insn.imm);
-            e.size = memAccessSize(op);
-            checkMemFault(e);
-            if (e.isStore)
-                e.result = b; // store data
-            e.countdown = cfg_.latAgen;
-        } else if (isa::isBranch(op)) {
-            bool taken = branchTaken(op, a, b);
-            e.actualNextIdx =
-                taken ? e.pcIdx + static_cast<int64_t>(e.insn.imm)
-                      : e.pcIdx + 1;
-            e.countdown = cfg_.latAlu;
-        } else if (op == Op::JAL) {
-            e.actualNextIdx = e.pcIdx + static_cast<int64_t>(e.insn.imm);
-            e.result = (e.pcIdx + 1) * 4 + isa::kCodeBase;
-            e.countdown = cfg_.latAlu;
-        } else if (op == Op::JALR) {
-            uint64_t target = a + static_cast<int64_t>(e.insn.imm);
-            e.result = (e.pcIdx + 1) * 4 + isa::kCodeBase;
-            if (target < isa::kCodeBase || (target & 3) ||
-                (target - isa::kCodeBase) / 4 >= prog_.code.size()) {
-                e.trap = TrapKind::BadJump;
-                e.actualNextIdx = e.pcIdx + 1; // never used
-            } else {
-                e.actualNextIdx = (target - isa::kCodeBase) / 4;
-            }
-            e.countdown = cfg_.latAlu;
-        } else if (op == Op::ECALL) {
-            e.result = a; // value captured for commit
-            e.countdown = cfg_.latAlu;
-        } else if (op == Op::HALT || op == Op::NOP) {
-            e.countdown = 1;
-        } else {
-            ExecOut out = execArith(e.insn, a, b);
-            e.result = out.value;
-            if (out.fpSevere && cfg_.trapOnSevereFp &&
-                isa::isFpArith(op))
-                e.trap = TrapKind::FpException;
-            if (intDiv)
-                intDivBusyUntil_ = cycles_ + cfg_.latDiv;
-            if (fpDiv)
-                fpDivBusyUntil_ = cycles_ + cfg_.latFpDiv;
-        }
-        it = iq_.erase(it);
-        ++issued;
-    }
+    walkOldestFirst([this](size_t w) { return ready_[w]; }, head_,
+                    rob_.size(), [&](size_t slot) {
+                        if (issued == cfg_.issueWidth)
+                            return false;
+                        if (issueOne(slot))
+                            ++issued;
+                        return true;
+                    });
 }
 
 // ---- injection at writeback --------------------------------------------
@@ -339,27 +434,39 @@ void
 CorePipeline::squashAfter(size_t slot, uint64_t redirectIdx,
                           bool stopFetch)
 {
-    // Kill everything younger than `slot`.
+    // Kill everything younger than `slot`, taking each entry out of the
+    // structure its stage keeps it in.
     while (tail_ != robNext(slot)) {
         size_t last = (tail_ + rob_.size() - 1) % rob_.size();
         RobEntry &e = rob_[last];
+        switch (e.stage) {
+          case Stage::InIQ:
+            clearBit(ready_.data(), last);
+            --iqCount_;
+            break;
+          case Stage::Exec:
+          case Stage::MemAccess:
+            unschedule(last);
+            break;
+          case Stage::MemPending:
+            clearBit(memPending_.data(), last);
+            clearBit(memRecheck_.data(), last);
+            break;
+          case Stage::Done:
+            break;
+        }
         if (e.isLoad)
             --loadsInFlight_;
         if (e.isStore)
             sq_.pop_back();
-        clearBusy(last);
         if (e.injected)
             ++injWrongPath_;
+        // Wakeups still queued for this entry must not land.
+        e.seq = kSquashed;
         ++squashed_;
         tail_ = last;
         --count_;
     }
-    // Drop IQ entries that no longer exist.
-    uint64_t maxSeq = rob_[slot].seq;
-    std::erase_if(iq_, [&](int s) {
-        return rob_[static_cast<size_t>(s)].seq > maxSeq ||
-               rob_[static_cast<size_t>(s)].stage != Stage::InIQ;
-    });
     // Rebuild the rename tables from the surviving entries.
     mapInt_.fill(-1);
     mapFp_.fill(-1);
@@ -378,14 +485,30 @@ CorePipeline::squashAfter(size_t slot, uint64_t redirectIdx,
 }
 
 // ---- writeback / memory progression ------------------------------------
+/**
+ * The entry at `slot` writes back: injection, then wakeup of every
+ * source waiting for it (a waiter whose slot was squashed or reused
+ * carries a stale `seq` and is skipped), then branch resolution.
+ */
 void
 CorePipeline::finishExec(size_t slot)
 {
     RobEntry &e = rob_[slot];
     e.stage = Stage::Done;
-    clearBusy(slot);
     ++executed_;
     applyInjection(e);
+    for (const Waiter &w : waiters_[slot]) {
+        RobEntry &c = rob_[w.slot];
+        if (c.seq != w.seq)
+            continue;
+        c.srcVal[w.src] = e.result;
+        c.srcTaint[w.src] = e.taint;
+        if (--c.pending == 0)
+            setBit(ready_.data(), w.slot);
+    }
+    waiters_[slot].clear();
+    if (e.isStore)
+        newStoreEpoch();
     if (e.isCtrl && !e.resolved) {
         e.resolved = true;
         if (isa::isBranch(e.insn.op))
@@ -435,63 +558,56 @@ CorePipeline::checkLoad(size_t slot, uint64_t &forwardValue,
     return MemCheck::Ready;
 }
 
-/** First busy ROB slot in [from, end), or `end` if there is none. */
-size_t
-CorePipeline::nextBusy(size_t from, size_t end) const
-{
-    while (from < end) {
-        size_t w = from >> 6;
-        uint64_t bits = busy_[w] & (~0ULL << (from & 63));
-        if (bits)
-            return std::min(end, (w << 6) + static_cast<size_t>(
-                                                 __builtin_ctzll(bits)));
-        from = (w + 1) << 6;
-    }
-    return end;
-}
-
-/** One cycle of progress for a busy (executing or loading) slot. */
+/** One cycle of progress for a slot that is due or in MemPending. */
 void
 CorePipeline::progress(size_t slot)
 {
     RobEntry &e = rob_[slot];
     switch (e.stage) {
       case Stage::Exec:
-        if (--e.countdown == 0) {
-            if (e.isLoad && e.trap == TrapKind::None)
-                e.stage = Stage::MemPending;
-            else
-                finishExec(slot);
+        unschedule(slot);
+        if (e.isLoad && e.trap == TrapKind::None) {
+            e.stage = Stage::MemPending;
+            setBit(memPending_.data(), slot);
+            setBit(memRecheck_.data(), slot);
+        } else {
+            finishExec(slot);
         }
         break;
       case Stage::MemPending: {
         uint64_t fwd = 0;
         uint32_t fwdTaint = 0;
         MemCheck c = checkLoad(slot, fwd, fwdTaint);
+        clearBit(memRecheck_.data(), slot);
+        if (c == MemCheck::Wait)
+            break; // stands until the next store epoch
+        clearBit(memPending_.data(), slot);
+        e.stage = Stage::MemAccess;
         if (c == MemCheck::Forward) {
             e.result = fwd;
             e.memTaint = fwdTaint;
             e.taint |= fwdTaint;
-            e.stage = Stage::MemAccess;
-            e.countdown = 1;
-        } else if (c == MemCheck::Ready) {
+            schedule(slot, 1);
+        } else {
             CorePort::LoadResult lr = port_.load(e.addr, e.size);
+            panic_if(lr.latency == 0 || lr.latency > maxLoadLatency_,
+                     "core %u: a load took %u cycles, outside the port's "
+                     "declared range",
+                     coreId_, lr.latency);
             e.result = lr.value;
             e.memTaint = lr.taint;
             e.taint |= lr.taint;
-            e.stage = Stage::MemAccess;
-            e.countdown = lr.latency;
+            schedule(slot, lr.latency);
         }
         break;
       }
       case Stage::MemAccess:
-        if (--e.countdown == 0) {
-            if (e.insn.op == Op::LW) {
-                e.result = static_cast<uint64_t>(
-                    static_cast<int64_t>(static_cast<int32_t>(e.result)));
-            }
-            finishExec(slot);
+        unschedule(slot);
+        if (e.insn.op == Op::LW) {
+            e.result = static_cast<uint64_t>(
+                static_cast<int64_t>(static_cast<int32_t>(e.result)));
         }
+        finishExec(slot);
         break;
       default:
         break;
@@ -499,38 +615,25 @@ CorePipeline::progress(size_t slot)
 }
 
 /**
- * Advance every busy slot, oldest first: head_ to the end of the ring,
- * then 0 to head_. A squash inside finishExec clears the bits of every
- * younger slot, so the walk stops at the mispredicted instruction.
+ * Advance the slots due this cycle and the loads to re-check, oldest
+ * first. The bits are read live: a store finishing here re-arms the
+ * younger waiting loads for this same walk, and a squash inside
+ * finishExec clears the bits of every younger slot, so the walk stops
+ * at the mispredicted instruction.
  */
 void
 CorePipeline::writeback()
 {
-    size_t n = rob_.size();
-    for (size_t i = nextBusy(head_, n); i < n; i = nextBusy(i + 1, n))
-        progress(i);
-    for (size_t i = nextBusy(0, head_); i < head_;
-         i = nextBusy(i + 1, head_))
-        progress(i);
+    const uint64_t *due = dueAt(cycles_);
+    walkOldestFirst(
+        [&](size_t w) { return due[w] | memRecheck_[w]; }, head_,
+        rob_.size(), [this](size_t slot) {
+            progress(slot);
+            return true;
+        });
 }
 
 // ---- commit ------------------------------------------------------------
-/** Patch IQ waiters whose producer leaves the ROB. */
-void
-CorePipeline::patchWaiters(size_t slot, uint64_t value, uint32_t taint)
-{
-    for (int s : iq_) {
-        RobEntry &e = rob_[static_cast<size_t>(s)];
-        for (int k = 0; k < 2; ++k) {
-            if (e.src[k] == static_cast<int>(slot)) {
-                e.src[k] = -1;
-                e.srcVal[k] = value;
-                e.srcTaint[k] = taint;
-            }
-        }
-    }
-}
-
 CorePipeline::CommitOutcome
 CorePipeline::commit(TrapKind &trapOut)
 {
@@ -578,6 +681,7 @@ CorePipeline::commit(TrapKind &trapOut)
         if (e.isStore) {
             port_.store(e.addr, e.size, e.result, e.taint);
             sq_.pop_front();
+            newStoreEpoch();
         }
         if (e.isLoad) {
             --loadsInFlight_;
@@ -585,7 +689,6 @@ CorePipeline::commit(TrapKind &trapOut)
                 ++crossLoads_;
         }
         if (e.hasDest) {
-            patchWaiters(head_, e.result, e.taint);
             if (e.destIsFp) {
                 freg_[e.destReg] = e.result;
                 fregTaint_[e.destReg] = e.taint;

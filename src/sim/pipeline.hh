@@ -23,6 +23,7 @@
 #ifndef TEA_SIM_PIPELINE_HH
 #define TEA_SIM_PIPELINE_HH
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <deque>
@@ -54,6 +55,13 @@ class CorePort
 
     /** Perform a (committed-path) data load: value + timing + taint. */
     virtual LoadResult load(uint64_t addr, unsigned size) = 0;
+
+    /** Smallest and largest `LoadResult::latency` `load` can return. */
+    struct LatencyRange
+    {
+        unsigned min, max;
+    };
+    virtual LatencyRange loadLatencies() const = 0;
 
     /** Commit a store: write memory, update cache/coherence state. */
     virtual void store(uint64_t addr, unsigned size, uint64_t value,
@@ -180,12 +188,27 @@ struct L1Cache
 /**
  * One out-of-order core. Stepped one cycle at a time by its owner
  * (OooSim's run loop, or the multi-core round-robin scheduler).
+ *
+ * Per-cycle work follows events, not occupancy: an instruction enters
+ * a ready set when its last producer writes back (wakeup) and issue
+ * selects from that set oldest-first; a load waiting on an older store
+ * re-checks the store queue only after some store changed it; and a
+ * timing wheel of per-cycle ROB bitsets names the slots that finish
+ * this cycle, so writeback visits nothing else.
  */
 class CorePipeline
 {
   public:
+    /**
+     * fatal() when a latency of `cfg` or of `port`'s loads is 0 (a
+     * result would be due in the cycle that scheduled it) or exceeds
+     * `kMaxLatency`.
+     */
     CorePipeline(const isa::Program &prog, const OooConfig &cfg,
                  InjectionPlan plan, CorePort &port, unsigned coreId = 0);
+
+    /** Largest latency a timing wheel is sized for. */
+    static constexpr unsigned kMaxLatency = 4096;
 
     enum class Step : uint8_t
     {
@@ -220,9 +243,9 @@ class CorePipeline
     enum class Stage : uint8_t
     {
         InIQ,       ///< waiting for operands / FU
-        Exec,       ///< in a functional unit (countdown)
+        Exec,       ///< in a functional unit, due at `due`
         MemPending, ///< load waiting for disambiguation
-        MemAccess,  ///< load accessing the cache (countdown)
+        MemAccess,  ///< load accessing the cache, due at `due`
         Done,
     };
 
@@ -230,15 +253,15 @@ class CorePipeline
     {
         isa::Instruction insn;
         uint64_t pcIdx;
-        uint64_t seq;
+        uint64_t seq; ///< program-order number; kSquashed once killed
         uint64_t predNextIdx;
         Stage stage;
-        unsigned countdown;
-        // Sources: [0] = rs1-class, [1] = rs2 / store data.
-        int src[2];          ///< ROB slot of the producer, or -1
-        uint64_t srcVal[2];  ///< value when src == -1 (or after patch)
+        /** Producers of the sources that have not written back yet. */
+        unsigned pending;
+        // Sources: [0] = rs1-class, [1] = rs2 / store data. Filled at
+        // rename, or by the producer's wakeup when it writes back.
+        uint64_t srcVal[2];
         uint32_t srcTaint[2];
-        bool srcIsFp[2];
         // Destination.
         bool hasDest;
         bool destIsFp;
@@ -254,10 +277,21 @@ class CorePipeline
         bool isCtrl;
         uint64_t actualNextIdx;
         bool resolved;
-        // Faults & bookkeeping.
+        // Timing, faults & bookkeeping.
+        uint64_t due; ///< writeback cycle in Exec / MemAccess
         TrapKind trap;
         bool injected;
     };
+
+    /** A consumer source waiting for a producer slot's result. */
+    struct Waiter
+    {
+        uint32_t slot;
+        uint32_t src;
+        uint64_t seq; ///< the consumer's, to skip reused slots
+    };
+
+    static constexpr uint64_t kSquashed = ~0ULL;
 
     enum class CommitOutcome { Continue, Halt, Crash };
     enum class MemCheck { Ready, Forward, Wait };
@@ -267,29 +301,46 @@ class CorePipeline
     {
         return r == 0 ? 0 : xreg_[r];
     }
-    void captureSource(RobEntry &e, int slot, unsigned reg, bool isFp);
+    static void setBit(uint64_t *set, size_t i)
+    {
+        set[i >> 6] |= 1ULL << (i & 63);
+    }
+    static void clearBit(uint64_t *set, size_t i)
+    {
+        set[i >> 6] &= ~(1ULL << (i & 63));
+    }
+    /** The wheel's bitset of the slots due at `cycle`. */
+    uint64_t *dueAt(uint64_t cycle)
+    {
+        return &wheel_[(cycle & wheelMask_) * robWords_];
+    }
+    void schedule(size_t slot, unsigned latency);
+    void unschedule(size_t slot) { clearBit(dueAt(rob_[slot].due), slot); }
+    /**
+     * A store executed or committed: the queue the waiting loads were
+     * checked against changed, so each re-checks. A store renamed or
+     * squashed starts none: it is younger than every waiting load that
+     * survives, and `checkLoad` skips younger stores.
+     */
+    void newStoreEpoch()
+    {
+        std::copy(memPending_.begin(), memPending_.end(),
+                  memRecheck_.begin());
+    }
+    void captureSource(size_t slot, int src, unsigned reg, bool isFp);
     void fetch();
     void rename();
-    bool sourcesReady(const RobEntry &e) const;
-    uint64_t sourceValue(const RobEntry &e, int s) const;
-    uint32_t sourceTaint(const RobEntry &e, int s) const;
     unsigned latencyOf(isa::Op op) const;
     void checkMemFault(RobEntry &e);
+    bool issueOne(size_t slot);
     void issue();
     void applyInjection(RobEntry &e);
     void squashAfter(size_t slot, uint64_t redirectIdx, bool stopFetch);
     void finishExec(size_t slot);
     MemCheck checkLoad(size_t slot, uint64_t &forwardValue,
                        uint32_t &forwardTaint);
-    void setBusy(size_t slot) { busy_[slot >> 6] |= 1ULL << (slot & 63); }
-    void clearBusy(size_t slot)
-    {
-        busy_[slot >> 6] &= ~(1ULL << (slot & 63));
-    }
-    size_t nextBusy(size_t from, size_t end) const;
     void progress(size_t slot);
     void writeback();
-    void patchWaiters(size_t slot, uint64_t value, uint32_t taint);
     CommitOutcome commit(TrapKind &trapOut);
 
     const isa::Program &prog_;
@@ -298,15 +349,37 @@ class CorePipeline
     CorePort &port_;
     unsigned coreId_;
     uint32_t coreMask_;
+    unsigned maxLoadLatency_;
 
     // ROB.
     std::vector<RobEntry> rob_;
     size_t head_ = 0, tail_ = 0, count_ = 0;
     uint64_t nextSeq_ = 0;
+    /** 64-bit words of one bitset over ROB slots. */
+    size_t robWords_;
+    /** Per producer slot: the sources waiting for its result. */
+    std::vector<std::vector<Waiter>> waiters_;
+    /** Bitset over ROB slots in InIQ whose sources are all known. */
+    std::vector<uint64_t> ready_;
+    /** InIQ entries (the `iqSize` limit). */
+    unsigned iqCount_ = 0;
     /** ROB slots of the in-flight stores, in program order. */
     std::deque<size_t> sq_;
-    /** Bitset over ROB slots in Exec, MemPending or MemAccess. */
-    std::vector<uint64_t> busy_;
+    /** Bitset over ROB slots in MemPending. */
+    std::vector<uint64_t> memPending_;
+    /**
+     * The MemPending loads to disambiguate this cycle: those not yet
+     * checked, and all of them after a new store epoch. A load whose
+     * check says Wait leaves it until the next epoch.
+     */
+    std::vector<uint64_t> memRecheck_;
+    /**
+     * Timing wheel: `wheelMask_ + 1` bitsets over ROB slots, one per
+     * cycle modulo the wheel size, each naming the Exec / MemAccess
+     * slots due in that cycle. Every latency is below the wheel size.
+     */
+    std::vector<uint64_t> wheel_;
+    uint64_t wheelMask_;
 
     // Rename tables: ROB slot of the latest producer, or -1.
     std::array<int, 32> mapInt_;
@@ -316,7 +389,6 @@ class CorePipeline
     std::array<uint32_t, 32> xregTaint_{};
     std::array<uint32_t, 32> fregTaint_{};
 
-    std::vector<int> iq_; // ROB slots, program order
     std::deque<std::pair<uint64_t, uint64_t>> fetchBuf_; // (pcIdx, pred)
 
     uint64_t fetchIdx_;

@@ -191,6 +191,21 @@ TEST(McAbi, InvalidSpawnTargetIsSyncFault)
     EXPECT_EQ(mr.trapCore, 0);
 }
 
+TEST(McAbiDeathTest, ZeroLatencyL2IsRefusedAtConstruction)
+{
+    // The shared-L2 and cache-to-cache latencies come from the port;
+    // the core checks them like its own.
+    isa::AsmBuilder b("mc-zero-l2");
+    b.halt();
+    isa::Program prog = b.build();
+    McConfig l2;
+    l2.latL2Hit = 0;
+    EXPECT_DEATH(McSim(prog, l2), "port's loads can take 0 cycles");
+    McConfig c2c;
+    c2c.latC2c = 100'000;
+    EXPECT_DEATH(McSim(prog, c2c), "100000 cycles.*timing wheel");
+}
+
 TEST(McAbi, SpawnWithNoParkedCoreIsSyncFault)
 {
     // A 1-core machine has nothing to wake: the same program that

@@ -2,7 +2,8 @@
  * @file
  * sim::Memory edge cases: page-straddling scalar accesses,
  * readBlock over partially-unmapped ranges, and isMapped exactly at
- * page boundaries. The simulators themselves only issue aligned
+ * page boundaries, and program loading of segments that straddle pages.
+ * The simulators themselves only issue aligned
  * (within-page) accesses, but byte-granularity users (program
  * loading, output capture) cross pages freely.
  */
@@ -10,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "sim/memory.hh"
+#include "util/rng.hh"
 
 using namespace tea::sim;
 
@@ -106,4 +108,44 @@ TEST(Memory, IsMappedAtPageBoundaries)
     EXPECT_TRUE(m2.isMapped(kBase, kPage));
     EXPECT_TRUE(m2.isMapped(kBase + kPage, kPage));
     EXPECT_FALSE(m2.isMapped(kBase + 2 * kPage, 1));
+}
+
+TEST(Memory, LoadProgramMatchesTheByteLoopAcrossPages)
+{
+    // One segment that starts near the end of a page and spans two
+    // more boundaries, and one that fits inside a page.
+    tea::Rng rng(5);
+    tea::isa::Program prog;
+    std::vector<uint8_t> big(2 * kPage + 300), small(40);
+    for (uint8_t &b : big)
+        b = static_cast<uint8_t>(rng.nextBounded(256));
+    for (uint8_t &b : small)
+        b = static_cast<uint8_t>(rng.nextBounded(256));
+    prog.data.push_back({kBase + kPage - 100, big});
+    prog.data.push_back({kBase + 8 * kPage + 16, small});
+
+    Memory loaded;
+    loaded.loadProgram(prog);
+
+    // Reference: map each segment and write it one byte at a time.
+    Memory byteLoop;
+    for (const auto &seg : prog.data) {
+        byteLoop.mapRange(seg.addr, seg.bytes.size());
+        for (size_t i = 0; i < seg.bytes.size(); ++i)
+            byteLoop.write(seg.addr + i, 1, seg.bytes[i]);
+    }
+
+    for (const auto &seg : prog.data) {
+        // The segment plus the rest of its first and last pages.
+        uint64_t lo = seg.addr & ~(kPage - 1);
+        uint64_t hi = (seg.addr + seg.bytes.size() + kPage - 1) &
+                      ~(kPage - 1);
+        EXPECT_EQ(loaded.readBlock(lo, hi - lo),
+                  byteLoop.readBlock(lo, hi - lo));
+        EXPECT_EQ(loaded.readBlock(seg.addr, seg.bytes.size()),
+                  seg.bytes);
+        EXPECT_TRUE(loaded.isMapped(lo, static_cast<unsigned>(hi - lo)));
+    }
+    EXPECT_FALSE(loaded.isMapped(kBase + 4 * kPage, 1));
+    EXPECT_TRUE(loaded.isMapped(tea::isa::kStackTop - 8, 8));
 }

@@ -2,14 +2,19 @@
  * @file
  * Pinned timing oracle for the OoO core.
  *
- * Every value in the table below was recorded from the reference
+ * Every value in the first table below was recorded from the reference
  * pipeline (ROB walks for load disambiguation and writeback) before it
- * was replaced by the store queue and busy set. Any change to the
- * core's per-cycle bookkeeping must reproduce all of them: the full
- * `OooSim::Result` plus a CRC-32 of the output signature, for the seven
- * paper workloads (seed 7, scale 1), golden and seeded AnyDest/FpOp
- * plans, on the default machine and on 8-, 100- and 192-entry ROBs
- * (non-power-of-two rings and multi-word busy sets).
+ * was replaced by the store queue and busy set; the second table was
+ * recorded from the store-queue/busy-set pipeline before it became
+ * event-driven. Any change to the core's per-cycle bookkeeping must
+ * reproduce all of them: the full `OooSim::Result` plus a CRC-32 of the
+ * output signature, for the seven paper workloads (seed 7, scale 1),
+ * golden and seeded AnyDest/FpOp plans, on the default machine, on 8-,
+ * 100- and 192-entry ROBs (non-power-of-two rings and multi-word
+ * bitsets), on a narrow machine (one issue slot, a 4-entry IQ, two
+ * loads and two stores in flight), on a long-latency machine (200-cycle
+ * misses, 40-cycle divides: every timing-wheel slot is reused many
+ * times over) and for a golden run cut at half its cycles.
  */
 
 #include <gtest/gtest.h>
@@ -131,6 +136,65 @@ const std::vector<Pinned> kPinned = {
 };
 // clang-format on
 
+/**
+ * One run on a named machine variant (see `variantConfig`); plan
+ * `kCut` is the default machine's golden run cut at half its cycles.
+ */
+struct PinnedVariant
+{
+    const char *workload;
+    const char *machine;
+    int plan;
+    int status;
+    int trap;
+    uint64_t cycles, committed, executed;
+    uint64_t injApplied, injWrongPath, mispredicts;
+    uint64_t cacheMisses, cacheAccesses, squashed;
+    uint32_t sigCrc;
+};
+
+constexpr int kCut = -2;
+
+// clang-format off
+const std::vector<PinnedVariant> kPinnedVariants = {
+    {"sobel", "narrow", -1, 0, 0, 88406, 24090, 24090, 0, 0, 27, 139, 4382, 28, 0xc0fc893au},
+    {"sobel", "narrow", 0, 0, 0, 88304, 24074, 24074, 4, 0, 28, 139, 4382, 32, 0x4495bbe7u},
+    {"sobel", "longlat", -1, 0, 0, 82792, 24090, 24090, 0, 0, 27, 139, 4382, 147, 0xc0fc893au},
+    {"sobel", "longlat", 1, 0, 0, 82792, 24090, 24090, 4, 0, 27, 139, 4382, 147, 0x7bb54cf3u},
+    {"sobel", "default", -2, 2, 0, 36776, 11983, 11999, 0, 0, 13, 74, 2190, 71, 0x3f7d7180u},
+    {"cg", "narrow", -1, 0, 0, 154030, 117122, 117122, 0, 0, 352, 226, 29283, 57, 0xe985e0cfu},
+    {"cg", "narrow", 0, 1, 1, 86057, 61298, 61304, 1, 0, 186, 225, 15325, 35, 0x42aa0a46u},
+    {"cg", "longlat", -1, 0, 0, 113325, 117122, 117122, 0, 0, 352, 226, 29283, 904, 0xe985e0cfu},
+    {"cg", "longlat", 1, 0, 0, 113325, 117122, 117122, 4, 0, 352, 226, 29283, 904, 0x76349cd7u},
+    {"cg", "default", -2, 2, 0, 42242, 54596, 54642, 0, 0, 167, 225, 13620, 373, 0xa0a14646u},
+    {"k-means", "narrow", -1, 0, 0, 178610, 100943, 114607, 0, 0, 6433, 99, 23783, 31995, 0x6a686cefu},
+    {"k-means", "narrow", 0, 1, 1, 12886, 6644, 7579, 2, 1, 451, 35, 1559, 2196, 0xebbf52fdu},
+    {"k-means", "longlat", -1, 0, 0, 133334, 100943, 157093, 0, 0, 7873, 99, 31082, 124879, 0x6a686cefu},
+    {"k-means", "longlat", 1, 0, 0, 129939, 100297, 152984, 4, 2, 8070, 99, 30421, 118539, 0x1332f727u},
+    {"k-means", "default", -2, 2, 0, 62187, 48734, 76482, 0, 0, 3865, 99, 15043, 61227, 0x77e7f8e5u},
+    {"srad_v1", "narrow", -1, 0, 0, 85301, 37590, 37598, 0, 0, 176, 175, 8101, 520, 0x413f7cf8u},
+    {"srad_v1", "narrow", 0, 0, 0, 85301, 37590, 37598, 4, 0, 176, 175, 8101, 520, 0xe83305ffu},
+    {"srad_v1", "longlat", -1, 0, 0, 52005, 37590, 40210, 0, 0, 185, 175, 8361, 4706, 0x413f7cf8u},
+    {"srad_v1", "longlat", 1, 0, 0, 55847, 37442, 38137, 4, 0, 125, 175, 8171, 1576, 0x57fc7c70u},
+    {"srad_v1", "default", -2, 2, 0, 24571, 17729, 19602, 0, 0, 110, 173, 3974, 3269, 0x61ef1cf6u},
+    {"hotspot", "narrow", -1, 0, 0, 117649, 53375, 53375, 0, 0, 108, 211, 14336, 228, 0x5659fdeeu},
+    {"hotspot", "narrow", 0, 1, 1, 904, 255, 261, 1, 0, 1, 11, 67, 2, 0xbc139f0cu},
+    {"hotspot", "longlat", -1, 0, 0, 99815, 53375, 53381, 0, 0, 108, 211, 14336, 285, 0x5659fdeeu},
+    {"hotspot", "longlat", 1, 0, 0, 99815, 53375, 53381, 4, 0, 108, 211, 14336, 285, 0xf50e2c84u},
+    {"hotspot", "default", -2, 2, 0, 45147, 25161, 25175, 0, 0, 50, 211, 6713, 129, 0xb6b5d2bcu},
+    {"is", "narrow", -1, 0, 0, 209425, 80931, 81808, 0, 0, 2603, 259, 4616, 5133, 0x9ab971beu},
+    {"is", "narrow", 0, 0, 0, 208815, 80931, 81614, 4, 0, 2409, 259, 4616, 4163, 0xa46a9285u},
+    {"is", "longlat", -1, 0, 0, 204782, 80931, 81969, 0, 0, 2603, 259, 4742, 5841, 0x9ab971beu},
+    {"is", "longlat", 1, 0, 0, 205195, 80931, 81947, 4, 0, 2610, 259, 4734, 5850, 0x6259bb39u},
+    {"is", "default", -2, 2, 0, 94551, 36161, 36169, 0, 0, 1140, 38, 291, 1143, 0xbe2f7971u},
+    {"mg", "narrow", -1, 0, 0, 732901, 281706, 281706, 0, 0, 880, 3114, 98329, 1146, 0x412b6815u},
+    {"mg", "narrow", 0, 1, 1, 731106, 280366, 280373, 4, 0, 879, 3109, 98068, 1146, 0x246c1b93u},
+    {"mg", "longlat", -1, 0, 0, 892698, 281706, 281706, 0, 0, 880, 3114, 88537, 1370, 0x412b6815u},
+    {"mg", "longlat", 1, 0, 0, 892698, 281706, 281706, 4, 0, 880, 3114, 88537, 1370, 0xb26811fdu},
+    {"mg", "default", -2, 2, 0, 291929, 137959, 137977, 0, 0, 433, 1661, 43377, 674, 0x1b0cfe7bu},
+};
+// clang-format on
+
 /** The default ROB first, then the resized ones. */
 const unsigned kRobSizes[] = {64, 8, 100, 192};
 
@@ -194,6 +258,52 @@ signatureCrc(const OooSim &sim, const workloads::Workload &w)
     return crc32(con.data(), con.size() * sizeof(con[0]), crc);
 }
 
+/** A workload with its functional profile, shared by both tables. */
+struct Profiled
+{
+    workloads::Workload w;
+    FuncSim fsim;
+    uint64_t withDest = 0;
+
+    explicit Profiled(const std::string &name)
+        : w(workloads::buildWorkload(name, 7, 1)), fsim(w.program)
+    {
+        auto fres = fsim.run();
+        EXPECT_EQ(fres.status, FuncSim::Status::Halted) << name;
+        for (unsigned i = 0; i < isa::kNumOps; ++i) {
+            auto op = static_cast<isa::Op>(i);
+            if (isa::hasDest(op))
+                withDest += fsim.opCount(op);
+        }
+    }
+
+    InjectionPlan plan(size_t wlIdx, int plan) const
+    {
+        return plan < 0 ? InjectionPlan{}
+                        : makePlan(wlIdx, plan, fsim, withDest);
+    }
+};
+
+/** Outcome fields shared by `Pinned` and `PinnedVariant`. */
+template <class P>
+void
+fillOutcome(P &p, const OooSim &sim, const OooSim::Result &r,
+            const workloads::Workload &w)
+{
+    p.status = static_cast<int>(r.status);
+    p.trap = static_cast<int>(r.trap);
+    p.cycles = r.cycles;
+    p.committed = r.committed;
+    p.executed = r.executed;
+    p.injApplied = r.injectionsApplied;
+    p.injWrongPath = r.injectionsOnWrongPath;
+    p.mispredicts = r.branchMispredicts;
+    p.cacheMisses = r.cacheMisses;
+    p.cacheAccesses = r.cacheAccesses;
+    p.squashed = r.squashedInstructions;
+    p.sigCrc = signatureCrc(sim, w);
+}
+
 /** Run every (workload, ROB size, plan) case once. */
 std::vector<Pinned>
 measureAll()
@@ -201,16 +311,7 @@ measureAll()
     std::vector<Pinned> out;
     const auto &names = workloads::workloadNames();
     for (size_t wi = 0; wi < names.size(); ++wi) {
-        workloads::Workload w = workloads::buildWorkload(names[wi], 7, 1);
-        FuncSim fsim(w.program);
-        auto fres = fsim.run();
-        EXPECT_EQ(fres.status, FuncSim::Status::Halted) << names[wi];
-        uint64_t withDest = 0;
-        for (unsigned i = 0; i < isa::kNumOps; ++i) {
-            auto op = static_cast<isa::Op>(i);
-            if (isa::hasDest(op))
-                withDest += fsim.opCount(op);
-        }
+        Profiled prof(names[wi]);
         for (size_t ri = 0; ri < std::size(kRobSizes); ++ri) {
             unsigned rob = kRobSizes[ri];
             OooConfig cfg;
@@ -222,58 +323,146 @@ measureAll()
                 if (ri > 0 && plan != kGolden &&
                     plan != static_cast<int>(ri - 1))
                     continue;
-                InjectionPlan p =
-                    plan == kGolden ? InjectionPlan{}
-                                    : makePlan(wi, plan, fsim, withDest);
-                OooSim sim(w.program, cfg, std::move(p));
+                OooSim sim(prof.w.program, cfg, prof.plan(wi, plan));
                 auto r = sim.run(plan == kGolden ? kGoldenCycleLimit
                                                  : 2 * goldenCycles);
                 if (plan == kGolden)
                     goldenCycles = r.cycles;
-                out.push_back(Pinned{
-                    names[wi].c_str(), rob, plan,
-                    static_cast<int>(r.status), static_cast<int>(r.trap),
-                    r.cycles, r.committed, r.executed,
-                    r.injectionsApplied, r.injectionsOnWrongPath,
-                    r.branchMispredicts, r.cacheMisses, r.cacheAccesses,
-                    r.squashedInstructions, signatureCrc(sim, w)});
+                Pinned p{};
+                p.workload = names[wi].c_str();
+                p.robSize = rob;
+                p.plan = plan;
+                fillOutcome(p, sim, r, prof.w);
+                out.push_back(p);
             }
         }
     }
     return out;
 }
 
-std::string
-row(const Pinned &p)
+/** The machine variants of `kPinnedVariants`, by name. */
+OooConfig
+variantConfig(const std::string &machine)
 {
-    char buf[320];
+    OooConfig cfg;
+    if (machine == "narrow") {
+        cfg.issueWidth = 1;
+        cfg.iqSize = 4;
+        cfg.maxLoads = 2;
+        cfg.maxStores = 2;
+    } else if (machine == "longlat") {
+        cfg.latCacheMiss = 200;
+        cfg.latDiv = 40;
+    }
+    return cfg;
+}
+
+/**
+ * Run every variant case once: the narrow machine (golden + AnyDest
+ * plan 0), the long-latency machine (golden + FpOp plan 1), and the
+ * default machine's golden run cut at half its cycles.
+ */
+std::vector<PinnedVariant>
+measureVariants()
+{
+    struct Case
+    {
+        const char *machine;
+        int plan;
+    };
+    const Case cases[] = {{"narrow", kGolden}, {"narrow", 0},
+                          {"longlat", kGolden}, {"longlat", 1},
+                          {"default", kCut}};
+    std::vector<PinnedVariant> out;
+    const auto &names = workloads::workloadNames();
+    for (size_t wi = 0; wi < names.size(); ++wi) {
+        Profiled prof(names[wi]);
+        uint64_t goldenCycles = 0;
+        for (const Case &c : cases) {
+            OooConfig cfg = variantConfig(c.machine);
+            uint64_t limit = kGoldenCycleLimit;
+            if (c.plan == kCut) {
+                OooSim full(prof.w.program, cfg);
+                limit = full.run(kGoldenCycleLimit).cycles / 2;
+            } else if (c.plan != kGolden) {
+                limit = 2 * goldenCycles;
+            }
+            OooSim sim(prof.w.program, cfg, prof.plan(wi, c.plan));
+            auto r = sim.run(limit);
+            if (c.plan == kGolden)
+                goldenCycles = r.cycles;
+            PinnedVariant p{};
+            p.workload = names[wi].c_str();
+            p.machine = c.machine;
+            p.plan = c.plan;
+            fillOutcome(p, sim, r, prof.w);
+            out.push_back(p);
+        }
+    }
+    return out;
+}
+
+/** status .. sigCrc of one row, as the tables spell them. */
+template <class P>
+std::string
+outcomeFields(const P &p)
+{
+    char buf[256];
     std::snprintf(buf, sizeof(buf),
-                  "    {\"%s\", %u, %d, %d, %d, %" PRIu64 ", %" PRIu64
+                  "%d, %d, %" PRIu64 ", %" PRIu64 ", %" PRIu64
                   ", %" PRIu64 ", %" PRIu64 ", %" PRIu64 ", %" PRIu64
-                  ", %" PRIu64 ", %" PRIu64 ", %" PRIu64 ", 0x%08" PRIx32
-                  "u},",
-                  p.workload, p.robSize, p.plan, p.status, p.trap,
-                  p.cycles, p.committed, p.executed, p.injApplied,
-                  p.injWrongPath, p.mispredicts, p.cacheMisses,
-                  p.cacheAccesses, p.squashed, p.sigCrc);
+                  ", %" PRIu64 ", %" PRIu64 ", 0x%08" PRIx32 "u},",
+                  p.status, p.trap, p.cycles, p.committed, p.executed,
+                  p.injApplied, p.injWrongPath, p.mispredicts,
+                  p.cacheMisses, p.cacheAccesses, p.squashed, p.sigCrc);
     return buf;
 }
 
-} // namespace
-
-TEST(OooOracle, EveryPinnedRunReproducesExactly)
+std::string
+row(const Pinned &p)
 {
-    std::vector<Pinned> got = measureAll();
-    if (got.size() != kPinned.size()) {
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "    {\"%s\", %u, %d, ", p.workload,
+                  p.robSize, p.plan);
+    return buf + outcomeFields(p);
+}
+
+std::string
+row(const PinnedVariant &p)
+{
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "    {\"%s\", \"%s\", %d, ",
+                  p.workload, p.machine, p.plan);
+    return buf + outcomeFields(p);
+}
+
+/** Compare a measured table against its pinned rows. */
+template <class P>
+void
+expectTable(const std::vector<P> &got, const std::vector<P> &pinned)
+{
+    if (got.size() != pinned.size()) {
         std::string table;
-        for (const Pinned &p : got)
+        for (const P &p : got)
             table += row(p) + "\n";
         FAIL() << "the case list changed; re-record the table:\n"
                << table;
     }
     // A row prints every field, so equal rows mean equal runs.
     for (size_t i = 0; i < got.size(); ++i)
-        EXPECT_EQ(row(got[i]), row(kPinned[i]));
+        EXPECT_EQ(row(got[i]), row(pinned[i]));
+}
+
+} // namespace
+
+TEST(OooOracle, EveryPinnedRunReproducesExactly)
+{
+    expectTable(measureAll(), kPinned);
+}
+
+TEST(OooOracle, EveryPinnedVariantReproducesExactly)
+{
+    expectTable(measureVariants(), kPinnedVariants);
 }
 
 TEST(OooOracle, PinnedCasesCoverWrongPathHitsAndCrashes)
@@ -289,4 +478,18 @@ TEST(OooOracle, PinnedCasesCoverWrongPathHitsAndCrashes)
     EXPECT_TRUE(wrongPath);
     EXPECT_TRUE(crash);
     EXPECT_TRUE(sdcOrMasked);
+}
+
+TEST(OooOracle, CutRunsStopAtTheCycleLimitMidProgram)
+{
+    int cuts = 0;
+    for (const PinnedVariant &p : kPinnedVariants) {
+        if (p.plan != kCut)
+            continue;
+        ++cuts;
+        EXPECT_EQ(p.status, static_cast<int>(OooSim::Status::CycleLimit))
+            << p.workload;
+        EXPECT_GT(p.committed, 0u) << p.workload;
+    }
+    EXPECT_EQ(cuts, static_cast<int>(workloads::workloadNames().size()));
 }

@@ -4,6 +4,7 @@
 #include "sim/func_sim.hh"
 #include "sim/ooo_sim.hh"
 #include "softfloat/softfloat.hh"
+#include "util/crc32.hh"
 #include "util/rng.hh"
 
 using namespace tea::isa;
@@ -411,4 +412,156 @@ TEST(OooSim, WideMachineStillCorrect)
     auto r = sim.run(10'000'000);
     ASSERT_EQ(r.status, OooSim::Status::Halted);
     EXPECT_EQ(sim.console(), fsim.console());
+}
+
+namespace {
+
+/** Run `p` on the OoO core and expect FuncSim's console and ending. */
+OooSim::Result
+runAgainstFunctional(const Program &p, OooConfig cfg = OooConfig{})
+{
+    FuncSim fsim(p);
+    auto fr = fsim.run();
+    EXPECT_EQ(fr.status, FuncSim::Status::Halted);
+    OooSim sim(p, cfg);
+    auto r = sim.run(1'000'000);
+    EXPECT_EQ(r.status, OooSim::Status::Halted);
+    EXPECT_EQ(r.committed, fr.instructions);
+    EXPECT_EQ(sim.console(), fsim.console());
+    return r;
+}
+
+} // namespace
+
+TEST(OooSim, LoadWaitsForAStoreAddressFromADivideThenForwards)
+{
+    // The store's address is a 12-cycle divide away; the younger load
+    // to the same word has its address at once. It must wait for the
+    // store to execute and then take its data without touching the
+    // cache: the only cache access is the store's own at commit.
+    AsmBuilder b("divfwd");
+    b.dataI64("buf", {7});
+    b.la(5, "buf");
+    b.li(6, 1);
+    b.div(7, 5, 6);
+    b.li(8, 42);
+    b.sd(8, 7, 0);
+    b.ld(9, 5, 0);
+    b.addi(9, 9, 1);
+    b.printInt(9);
+    b.halt();
+    Program p = b.build();
+    auto r = runAgainstFunctional(p);
+    EXPECT_EQ(r.cacheAccesses, 1u);
+}
+
+TEST(OooSim, PartialOverlapWaitsForTheStoreToCommit)
+{
+    // A word load from the upper half of an in-flight doubleword store
+    // cannot be forwarded: it waits until the store commits and then
+    // reads the new bytes from memory (two cache accesses).
+    AsmBuilder b("partial");
+    b.dataI64("buf", {0x1111111122222222LL});
+    b.la(5, "buf");
+    b.li(6, 1);
+    b.div(7, 5, 6);
+    b.li(8, -123456789);
+    b.sd(8, 7, 0);
+    b.lw(9, 5, 4);
+    b.printInt(9);
+    b.halt();
+    Program p = b.build();
+    auto r = runAgainstFunctional(p);
+    EXPECT_EQ(r.cacheAccesses, 2u);
+}
+
+TEST(OooSim, SquashedConsumerSlotReuseIgnoresTheOldWakeup)
+{
+    // A divide and a cache-missing load are in flight when a cold,
+    // always-taken branch resolves as mispredicted. The wrong-path
+    // `add` waited on the divide as its first source; the correct-path
+    // `add` renamed into the same ROB slot waits on the load (first
+    // source) and the divide (second). When the divide finishes, the
+    // squashed consumer's wakeup must not count for the new one, or it
+    // would issue early with the divide in both sources.
+    AsmBuilder b("reuse");
+    b.dataI64("v", {1000});
+    b.la(20, "v");
+    b.li(5, 700);
+    b.li(6, 7);
+    b.div(7, 5, 6); // 100
+    b.ld(9, 20, 0); // 1000, an L1 miss
+    auto target = b.newLabel();
+    b.beq(0, 0, target);
+    b.add(10, 7, 0); // wrong path only
+    b.add(11, 7, 7);
+    b.bind(target);
+    b.add(10, 9, 7);
+    b.printInt(10);
+    b.halt();
+    Program p = b.build();
+    auto r = runAgainstFunctional(p);
+    EXPECT_GE(r.branchMispredicts, 1u);
+    EXPECT_GE(r.squashedInstructions, 2u);
+}
+
+TEST(OooSimDeathTest, ZeroOrOversizedLatencyIsRefusedAtConstruction)
+{
+    // A 0-cycle latency would make a result due in the cycle that
+    // scheduled it; the core refuses it instead of hanging.
+    Program p = mixedProgram();
+    OooConfig alu;
+    alu.latAlu = 0;
+    EXPECT_DEATH(OooSim(p, alu), "latAlu is 0");
+    OooConfig hit;
+    hit.latCacheHit = 0;
+    EXPECT_DEATH(OooSim(p, hit), "latCacheHit is 0");
+    OooConfig miss;
+    miss.latCacheMiss = 1'000'000;
+    EXPECT_DEATH(OooSim(p, miss), "latCacheMiss is 1000000 cycles.*"
+                                  "timing wheel");
+}
+
+TEST(OooSim, SquashedConsumerIsNeverWokenBeforeItsSlotIsReused)
+{
+    // A cache-missing load writes back a few cycles after a mispredicted
+    // branch squashed its consumers, while the refilled correct path
+    // has not reached their ROB slots yet: the wakeup must not revive
+    // them. The multiply chain the branch waits for sweeps the squash
+    // across the load's writeback, 3 cycles a step, and the wrong-path
+    // filler moves the consumers' slots away from the branch. A revived
+    // consumer executes without changing any output, so the timing of
+    // the whole sweep is pinned too: a CRC of (cycles, executed,
+    // squashed) per run, recorded from the store-queue/busy-set core.
+    uint32_t crc = 0;
+    for (int fill = 0; fill < 10; ++fill) {
+        for (int chain = 0; chain < 30; ++chain) {
+            AsmBuilder b("deadwake");
+            b.dataI64("v", {1000});
+            b.la(20, "v");
+            b.li(6, 1);
+            b.li(14, 1);
+            b.ld(9, 20, 0);
+            for (int i = 0; i < chain; ++i)
+                b.mul(14, 14, 6);
+            auto target = b.newLabel();
+            b.beq(14, 14, target);
+            for (int i = 0; i < fill; ++i)
+                b.addi(13, 13, 1); // wrong path only
+            b.add(10, 9, 9);
+            b.add(11, 10, 9);
+            b.bind(target);
+            b.add(10, 9, 14);
+            b.printInt(10);
+            b.printInt(13);
+            b.halt();
+            SCOPED_TRACE(testing::Message()
+                         << "fill " << fill << " chain " << chain);
+            auto r = runAgainstFunctional(b.build());
+            const uint64_t timing[] = {r.cycles, r.executed,
+                                       r.squashedInstructions};
+            crc = tea::crc32(timing, sizeof(timing), crc);
+        }
+    }
+    EXPECT_EQ(crc, 0x833442d3u);
 }
